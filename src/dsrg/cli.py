@@ -18,7 +18,7 @@ from typing import Sequence
 from . import constructions as cons
 from . import groups as grp
 from .adjio import AdjFormatError, read_adj, write_adj
-from .iso import BoundExceeded, canonical_form
+from .iso import CERT_VERSION, BoundExceeded, canonical_form
 from .matrix import BinMatrix, PermSpec
 from .numth import is_prime
 from .params import DsrgParams, NotDsrg, enumerate_feasible, verify_dsrg
@@ -351,11 +351,14 @@ def format_catalog(entries: Sequence[CatalogEntry]) -> str:
 
 
 def read_catalog(path: str | Path) -> list[CatalogEntry]:
-    """Load a catalog file, re-verifying every entry against its header."""
+    """Load a catalog file, re-verifying every entry against its header.
+
+    Records are separated by blank lines; the last one needs none.
+    """
     text = Path(path).read_text(encoding="ascii")
     entries = []
     block: list[str] = []
-    for line in text.split("\n"):
+    for line in text.split("\n") + [""]:
         if line:
             block.append(line)
             continue
@@ -369,7 +372,9 @@ def read_catalog(path: str | Path) -> list[CatalogEntry]:
             raise ValueError(f"catalog entry {block[0]!r} re-verifies as {params}")
         recomputed = canonical_form(adj, max(CATALOG_MAX_N, adj.n)).cert_hash
         if recomputed != cert_hash:
-            raise ValueError(f"catalog entry {block[0]!r} hash mismatch")
+            raise ValueError(
+                f"catalog entry {block[0]!r} hash mismatch; catalogs written "
+                f"before certificate version {CERT_VERSION} must be rebuilt")
         entries.append(CatalogEntry(method, descriptor, params, cert_hash, adj))
         block = []
     return entries

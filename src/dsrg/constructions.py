@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .iso import BoundExceeded
 from .matrix import (BinMatrix, PermSpec, block_compose, cycle_power,
@@ -327,36 +327,49 @@ def pq_dsrg(qmat: Tournament, p: PermSpec,
                    (2 * (2 * mu + 1), 2 * mu, mu, mu - 1, mu))
 
 
-def _involutions(n: int) -> Iterator[PermSpec]:
-    """All involutions of {0..n-1} in lexicographic image order."""
-    images = [-1] * n
-
-    def extend(free: list[int]) -> Iterator[PermSpec]:
-        if not free:
-            yield PermSpec(tuple(images))
-            return
-        i = free[0]
-        images[i] = i
-        yield from extend(free[1:])
-        for j in free[1:]:
-            images[i], images[j] = j, i
-            yield from extend([v for v in free[1:] if v != j])
-        images[i] = -1
-
-    yield from extend(list(range(n)))
-
-
 def pq_search(qmat: Tournament, bound: int = 11) -> list[PermSpec]:
-    """All involutions making the row-permuted tournament symmetric."""
+    """All involutions making the row-permuted tournament symmetric.
+
+    Involutions are built in lexicographic image order (fixed point
+    first, then swaps with ascending partners); a branch is pruned as soon
+    as a newly assigned row i of PQ disagrees with column i on an already
+    assigned vertex.
+    """
     if qmat.order > bound:
         raise BoundExceeded(
             f"order {qmat.order} exceeds the search bound {bound}")
-    a = qmat.adj
-    found = []
-    for p in _involutions(a.n):
-        pq = BinMatrix(a.n, tuple(a.rows[p.images[i]] for i in range(a.n)))
-        if pq == pq.transpose():
-            found.append(p)
+    rows = qmat.adj.rows
+    images = [-1] * qmat.order
+    assigned: list[int] = []
+    found: list[PermSpec] = []
+
+    def assign(i: int) -> bool:
+        # PQ[i][x] = A[p(i)][x] must equal PQ[x][i] = A[p(x)][i]
+        row = rows[images[i]]
+        if any((row >> x) & 1 != (rows[images[x]] >> i) & 1
+               for x in assigned):
+            return False
+        assigned.append(i)
+        return True
+
+    def extend(free: list[int]) -> None:
+        if not free:
+            found.append(PermSpec(tuple(images)))
+            return
+        i, rest = free[0], free[1:]
+        images[i] = i
+        if assign(i):
+            extend(rest)
+            assigned.pop()
+        for j in rest:
+            images[i], images[j] = j, i
+            if assign(i):
+                if assign(j):
+                    extend([v for v in rest if v != j])
+                    assigned.pop()
+                assigned.pop()
+
+    extend(list(range(qmat.order)))
     return found
 
 

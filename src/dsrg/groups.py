@@ -249,8 +249,9 @@ def cayley_criteria(spec: CayleySpec) -> DsrgParams | None:
                         lam if lam is not None else 0,
                         mu if mu is not None else 0)
     verified = try_verify_dsrg(cayley_graph(spec))
-    assert verified == params, (
-        f"criteria/verification mismatch: {params} vs {verified}")
+    if verified != params:
+        raise AssertionError(
+            f"criteria/verification mismatch: {params} vs {verified}")
     return params
 
 

@@ -9,6 +9,13 @@ relabeled matrix over the leaves of the search tree (in shell order: row
 and column fragments of the leading fixed vertices), pruning with
 automorphisms discovered along the way.  Canonical matrices of two graphs
 are equal exactly when the graphs are isomorphic.
+
+Twins (vertices with identical in- and out-neighborhoods) are
+interchangeable, so branching through a twin class only repeats work.
+Canonical labeling therefore searches the twin quotient, one vertex per
+class colored by the class size, and expands its best leaf class by
+class; twin-free graphs are searched as they are.  Certificate hashes
+include ``CERT_VERSION``, which changes whenever canonical matrices do.
 """
 
 from __future__ import annotations
@@ -20,6 +27,10 @@ from typing import Sequence
 from .matrix import BinMatrix, PermSpec
 
 DEFAULT_BOUND = 48
+
+# Hashed into every certificate; bumped whenever canonical matrices change.
+# Version 2 labels graphs with twins through their twin quotient.
+CERT_VERSION = 2
 
 _MAX_STORED_AUTOMORPHISMS = 64
 
@@ -179,8 +190,8 @@ def are_isomorphic(a: BinMatrix, b: BinMatrix,
         return search(refined[0], refined[1])
     except _SearchBudgetExceeded:
         pass
-    canon_a, order_a = _CanonicalSearch(a).run()
-    canon_b, order_b = _CanonicalSearch(b).run()
+    canon_a, order_a = _canonical(ga)
+    canon_b, order_b = _canonical(gb)
     if canon_a != canon_b:
         return None
     images = [0] * n
@@ -192,9 +203,11 @@ def are_isomorphic(a: BinMatrix, b: BinMatrix,
         mapped = 0
         while r:
             low = r & -r
-            mapped |= 1 << witness.images[low.bit_length() - 1]
+            mapped |= 1 << images[low.bit_length() - 1]
             r ^= low
-        assert mapped == rows_b[witness.images[i]]
+        if mapped != rows_b[images[i]]:
+            raise AssertionError(
+                f"equal canonical forms gave an invalid witness at row {i}")
     return witness
 
 
@@ -209,6 +222,7 @@ class IsoCertificate:
 
 def _cert_hash(canonical: BinMatrix) -> str:
     digest = hashlib.blake2b(digest_size=8)
+    digest.update(bytes([CERT_VERSION]))
     digest.update(canonical.n.to_bytes(4, "little"))
     digest.update(canonical.to_bytes())
     return digest.hexdigest()
@@ -229,30 +243,25 @@ class _CanonicalSearch:
 
     _NO_JUMP = 1 << 30
 
-    def __init__(self, a: BinMatrix):
-        self.n = a.n
-        self.rows = a.rows
-        self.graph = _graph_bits(a)
+    def __init__(self, graph: tuple[tuple[int, ...], tuple[int, ...]],
+                 colors: list[int]):
+        self.n = len(colors)
+        self.rows = graph[0]
+        self.graph = graph
+        self.colors = colors
         self.best_shells: list[int] | None = None
         self.best_order: list[int] | None = None
         self.best_branches: list[int] = []
         self.branches: list[int] = []
         self.autos: list[tuple[int, ...]] = []
 
-    def run(self) -> tuple[BinMatrix, list[int]]:
-        start = _refine_joint([self.graph], [[0] * self.n])
+    def run(self) -> list[int]:
+        """Vertices in canonical order: position i holds order[i]."""
+        start = _refine_joint([self.graph], [self.colors])
         assert start is not None
         self._visit(start[0], 0)
         assert self.best_order is not None
-        order = self.best_order
-        rows = []
-        for r in range(self.n):
-            src = self.rows[order[r]]
-            value = 0
-            for c in range(self.n):
-                value |= ((src >> order[c]) & 1) << c
-            rows.append(value)
-        return BinMatrix(self.n, tuple(rows)), order
+        return self.best_order
 
     def _fixed_prefix(self, colors: list[int]) -> list[int]:
         ncolors = max(colors) + 1
@@ -349,6 +358,47 @@ class _CanonicalSearch:
         return self._NO_JUMP
 
 
+def _canonical(graph: tuple[tuple[int, ...], tuple[int, ...]]
+               ) -> tuple[BinMatrix, list[int]]:
+    """Canonical matrix and order of the graph with bits (rows, cols).
+
+    Twins (vertices with equal rows and equal columns) are collapsed to
+    one representative each, keeping its loop bit, which records whether
+    the members of its class are mutually adjacent.  The quotient is
+    searched with its vertices colored by class size, and the best leaf is
+    expanded class by class, members in ascending label order.  Twins are
+    interchangeable, so the expansion is the same for every relabeling,
+    and the quotient with its class sizes can be read back off the
+    expanded matrix.  A twin-free graph is searched directly.
+    """
+    rows, cols = graph
+    n = len(rows)
+    classes: dict[tuple[int, int], list[int]] = {}
+    for v in range(n):
+        classes.setdefault((rows[v], cols[v]), []).append(v)
+    if len(classes) == n:
+        order = _CanonicalSearch(graph, [0] * n).run()
+    else:
+        members = list(classes.values())
+        reps = [m[0] for m in members]
+        quotient = tuple(
+            tuple(sum(((bits[r] >> s) & 1) << j for j, s in enumerate(reps))
+                  for r in reps)
+            for bits in (rows, cols))
+        sizes = sorted({len(m) for m in members})
+        colors = [sizes.index(len(m)) for m in members]
+        order = [v for c in _CanonicalSearch(quotient, colors).run()
+                 for v in members[c]]
+    canonical = []
+    for r in range(n):
+        src = rows[order[r]]
+        value = 0
+        for c in range(n):
+            value |= ((src >> order[c]) & 1) << c
+        canonical.append(value)
+    return BinMatrix(n, tuple(canonical)), order
+
+
 def canonical_form(a: BinMatrix, bound: int = DEFAULT_BOUND) -> IsoCertificate:
     """Distinguished representative of the isomorphism class of ``a``.
 
@@ -358,7 +408,7 @@ def canonical_form(a: BinMatrix, bound: int = DEFAULT_BOUND) -> IsoCertificate:
     matrices coincide.
     """
     _check_bound(a.n, bound)
-    canonical, _ = _CanonicalSearch(a).run()
+    canonical, _ = _canonical(_graph_bits(a))
     return IsoCertificate(canonical, _cert_hash(canonical), a.n)
 
 
@@ -380,9 +430,9 @@ def find_commuting_transposer(a: BinMatrix,
                               bound: int = DEFAULT_BOUND) -> PermSpec | None:
     """Permutation p whose matrix P satisfies P*A = A^T = A*P, if any.
 
-    P*A = A^T pins row p(i) of A to column i of A, so candidate images are
-    read off by matching rows against columns and completed to a bijection
-    by backtracking; the two-sided condition is then verified exactly.
+    P*A = A^T pins row p(i) of A to column i of A, so column i takes the
+    first unused row equal to it; the two-sided condition is then verified
+    exactly.
     """
     _check_bound(a.n, bound)
     n = a.n
@@ -391,34 +441,16 @@ def find_commuting_transposer(a: BinMatrix,
     by_row: dict[int, list[int]] = {}
     for w in range(n):
         by_row.setdefault(rows[w], []).append(w)
-    candidates = [by_row.get(cols[i], []) for i in range(n)]
-    # candidate sets are equal or disjoint (grouped by exact row value), so
-    # a bijection exists iff each value supplies as many rows as columns
-    # demand it, and then the greedy assignment below never backtracks
-    demand: dict[int, int] = {}
-    for i in range(n):
-        demand[cols[i]] = demand.get(cols[i], 0) + 1
-    for value, count in demand.items():
-        if count > len(by_row.get(value, [])):
+    # rows with equal values are interchangeable, so handing out equal rows
+    # in ascending order finds a bijection whenever one exists and never
+    # needs to backtrack
+    supply = {value: iter(ws) for value, ws in by_row.items()}
+    images = []
+    for value in cols:
+        w = next(supply.get(value, iter(())), None)
+        if w is None:
             return None
-    images: list[int] = []
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for w in candidates[i]:
-            if not used[w]:
-                used[w] = True
-                images.append(w)
-                if extend(i + 1):
-                    return True
-                images.pop()
-                used[w] = False
-        return False
-
-    if not extend(0):
-        return None
+        images.append(w)
     p = PermSpec(tuple(images))
     pinv = p.inverse().images
     for i in range(n):

@@ -181,6 +181,27 @@ def test_catalog_cli_round_trip(tmp_path):
         assert e.params.n <= 12
 
 
+def test_catalog_round_trip_without_trailing_blank_line(tmp_path):
+    entries = build_catalog(16)
+    assert len(entries) == 18
+    text = format_catalog(entries)
+    assert text.endswith("\n\n")
+    for variant in (text, text.rstrip("\n") + "\n", text.rstrip("\n")):
+        path = tmp_path / "catalog.txt"
+        path.write_text(variant, encoding="ascii")
+        assert read_catalog(path) == entries
+
+
+def test_catalog_hash_mismatch_asks_for_rebuild(tmp_path):
+    entries = build_catalog(8)
+    text = format_catalog(entries)
+    stale = entries[0].cert_hash
+    path = tmp_path / "catalog.txt"
+    path.write_text(text.replace(stale, "0" * len(stale)), encoding="ascii")
+    with pytest.raises(ValueError, match="must be rebuilt"):
+        read_catalog(path)
+
+
 def test_catalog_deterministic(tmp_path):
     a = format_catalog(build_catalog(12))
     b = format_catalog(build_catalog(12))

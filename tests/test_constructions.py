@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import pytest
 
 from dsrg import (BinMatrix, PermSpec, are_isomorphic, block_compose,
                   check_tournament, circulant_tournament, complement_graph,
-                  conjugate_by_perm, cycle_power, duval_feasible, kronecker,
+                  conjugate_by_perm, cycle_power, duval_feasible,
+                  enumerate_regular_tournaments, kronecker,
                   paley_tournament, verify_dsrg)
 from dsrg import constructions as cons
 from known_graphs import FIXTURE_8, FIXTURE_10, FIXTURE_14
@@ -181,6 +185,56 @@ def test_pq_search():
     assert cons.pq_search(TRIVIAL) == [PermSpec.identity(1)]
     with pytest.raises(ValueError, match="bound"):
         cons.pq_search(circulant_tournament(13, set(range(1, 7))))
+
+
+def _involutions_oracle(n):
+    """All involutions of {0..n-1} in lexicographic image order."""
+    images = [-1] * n
+
+    def extend(free):
+        if not free:
+            yield PermSpec(tuple(images))
+            return
+        i = free[0]
+        images[i] = i
+        yield from extend(free[1:])
+        for j in free[1:]:
+            images[i], images[j] = j, i
+            yield from extend([v for v in free[1:] if v != j])
+        images[i] = -1
+
+    yield from extend(list(range(n)))
+
+
+def _pq_search_oracle(t):
+    a = t.adj
+    found = []
+    for p in _involutions_oracle(a.n):
+        pq = BinMatrix(a.n, tuple(a.rows[p.images[i]] for i in range(a.n)))
+        if pq == pq.transpose():
+            found.append(p)
+    return found
+
+
+def test_pq_search_matches_brute_force():
+    # the pruned search returns exactly the brute-force list, in order, on
+    # regular tournaments and on random (mostly irregular) ones
+    rng = random.Random(19)
+    tournaments = [TRIVIAL]
+    for n in (3, 5, 7):
+        tournaments.extend(enumerate_regular_tournaments(n))
+    tournaments.append(circulant_tournament(9, {1, 2, 3, 4}))
+    tournaments.append(circulant_tournament(9, {1, 2, 4, 6}))
+    for n in (2, 4, 6, 8, 9, 9):
+        rows = [[0] * n for _ in range(n)]
+        for i, j in itertools.combinations(range(n), 2):
+            if rng.random() < 0.5:
+                rows[i][j] = 1
+            else:
+                rows[j][i] = 1
+        tournaments.append(check_tournament(BinMatrix.from_rows(rows)))
+    for t in tournaments:
+        assert cons.pq_search(t) == _pq_search_oracle(t)
 
 
 def test_kronecker_expansion():

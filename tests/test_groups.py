@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 
@@ -169,7 +170,7 @@ def test_jorgensen_no_abelian_genuine_dsrgs():
 
 def test_criteria_cross_validates_verification():
     # on every subset of a sample group the criteria agree with direct
-    # verification (the criteria assert this internally; exercise it)
+    # verification (the criteria check this internally; exercise it)
     d6 = dihedral_group(3)
     non_identity = [x for x in range(6) if x != d6.identity]
     for size in (1, 2, 3):
@@ -179,6 +180,15 @@ def test_criteria_cross_validates_verification():
             direct = try_verify_dsrg(cayley_graph(spec))
             if params is not None:
                 assert direct == params
+
+
+def test_criteria_verification_mismatch_raises():
+    # the cross-check is real code, not an assert that python -O strips
+    s3 = symmetric_group(3)
+    conn = frozenset({s3.index_of("(12)"), s3.index_of("(123)")})
+    with mock.patch("dsrg.groups.try_verify_dsrg", return_value=None):
+        with pytest.raises(AssertionError, match="mismatch"):
+            cayley_criteria(CayleySpec(s3, conn))
 
 
 def test_cayley_dsrg_wrapper():

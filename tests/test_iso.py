@@ -1,13 +1,17 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsrg import (BinMatrix, PermSpec, are_isomorphic, canonical_form,
                   circulant_tournament, classify, conjugate_by_perm,
                   cycle_power, enumerate_regular_tournaments,
                   find_commuting_transposer, paley_tournament)
 from dsrg import constructions as cons
+from dsrg import iso
 
 
 def random_digraph(rng, n):
@@ -233,3 +237,133 @@ def test_soundness_of_witnesses():
         b = conjugate_by_perm(a, p)
         w = are_isomorphic(a, b)
         assert w is not None and conjugate_by_perm(a, w) == b
+
+
+def test_commuting_transposer_large_order():
+    # the bijection is assembled by a loop, so the order is not limited by
+    # the interpreter's recursion depth
+    p = find_commuting_transposer(BinMatrix.zeros(1201), bound=1201)
+    assert p == PermSpec.identity(1201)
+
+
+def test_invalid_canonical_witness_raises():
+    # a canonical labelling that disagrees with the graphs must be caught by
+    # the witness re-check, which is real code and survives python -O
+    a = cycle_power(5, 1)
+    b = conjugate_by_perm(a, PermSpec((0, 2, 1, 3, 4)))
+    assert a != b
+    bogus = (BinMatrix.zeros(5), list(range(5)))
+    with mock.patch.object(iso, "_MAPPING_SEARCH_BUDGET", 0), \
+            mock.patch.object(iso, "_canonical", return_value=bogus):
+        with pytest.raises(AssertionError, match="witness"):
+            are_isomorphic(a, b)
+
+
+# -- property tests on graphs with twins -------------------------------------
+
+
+def blow_up(base, copies):
+    """Replace base vertex v by copies[v] twins; a loop on v makes its
+    twins mutually adjacent (loops included)."""
+    owner = [v for v, m in enumerate(copies) for _ in range(m)]
+    return BinMatrix.from_rows([[base[u][v] for v in owner] for u in owner])
+
+
+@st.composite
+def base_digraphs(draw, max_order=5, max_copies=4):
+    n = draw(st.integers(1, max_order))
+    loops = draw(st.booleans())
+    base = [[int(draw(st.booleans()) and (loops or i != j)) for j in range(n)]
+            for i in range(n)]
+    copies = draw(st.lists(st.integers(1, max_copies), min_size=n,
+                           max_size=n))
+    return base, copies
+
+
+def _constructed_with_twins():
+    pi3 = circulant_tournament(3, {1})
+    z5 = circulant_tournament(5, {1, 2})
+    graphs = []
+    for t in (pi3, z5):
+        for w in (2, 3):
+            graphs.append(cons.wide_blocks(t, w).adj)
+            graphs.append(cons.tall_blocks(t, w).adj)
+        base = cons.duval_b(t).adj
+        for m in (2, 3):
+            for side in ("left", "right"):
+                graphs.append(cons.kronecker_expand(base, m, side).adj)
+    return graphs
+
+
+CONSTRUCTED_WITH_TWINS = _constructed_with_twins()
+
+twin_heavy = st.one_of(
+    base_digraphs().map(lambda bc: blow_up(*bc)),
+    st.sampled_from(CONSTRUCTED_WITH_TWINS))
+
+
+@st.composite
+def blow_up_pairs(draw):
+    """Two blow-ups of one base digraph, the second with its copy counts
+    shuffled and perhaps one base arc flipped, so that some pairs are
+    isomorphic and some are not."""
+    base, copies = draw(base_digraphs())
+    other = [row[:] for row in base]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(base) - 1))
+        j = draw(st.integers(0, len(base) - 1))
+        other[i][j] ^= 1
+    shuffled = draw(st.permutations(copies))
+    return blow_up(base, copies), blow_up(other, shuffled)
+
+
+@st.composite
+def constructed_pairs(draw):
+    a = draw(st.sampled_from(CONSTRUCTED_WITH_TWINS))
+    b = draw(st.sampled_from([g for g in CONSTRUCTED_WITH_TWINS
+                              if g.n == a.n]))
+    return a, b
+
+
+def test_canonical_form_exhaustive_on_tiny_blow_ups():
+    # every digraph on two vertices (loops allowed), each vertex doubled or
+    # not, under every relabeling: one canonical matrix per graph, and
+    # distinct graphs keep distinct matrices unless they are isomorphic
+    forms = []
+    for bits in range(16):
+        base = [[(bits >> (2 * i + j)) & 1 for j in range(2)]
+                for i in range(2)]
+        for copies in itertools.product((1, 2), repeat=2):
+            a = blow_up(base, copies)
+            seen = {canonical_form(conjugate_by_perm(a, PermSpec(p))).canonical
+                    for p in itertools.permutations(range(a.n))}
+            assert len(seen) == 1, (base, copies)
+            forms.append((a, seen.pop()))
+    for (a, ca), (b, cb) in itertools.combinations(forms, 2):
+        assert (ca == cb) == (brute_force_isomorphic(a, b) is not None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(twin_heavy, st.data())
+def test_canonical_form_relabeling_invariant_with_twins(a, data):
+    p = PermSpec(tuple(data.draw(st.permutations(range(a.n)))))
+    assert canonical_form(a).canonical == \
+        canonical_form(conjugate_by_perm(a, p)).canonical
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(blow_up_pairs(), constructed_pairs()), st.data())
+def test_canonical_equality_matches_witness_with_twins(pair, data):
+    a, b = pair
+    p = PermSpec(tuple(data.draw(st.permutations(range(b.n)))))
+    b = conjugate_by_perm(b, p)
+    same = canonical_form(a).canonical == canonical_form(b).canonical
+    witness = are_isomorphic(a, b)
+    # with no mapping budget every branching pair is settled by comparing
+    # canonical labellings, whose orders yield the witness
+    with mock.patch.object(iso, "_MAPPING_SEARCH_BUDGET", 0):
+        canonical_witness = are_isomorphic(a, b)
+    for w in (witness, canonical_witness):
+        assert (w is not None) == same
+        if w is not None:
+            assert conjugate_by_perm(a, w) == b
