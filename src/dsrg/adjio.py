@@ -41,12 +41,13 @@ def parse_adj(data: bytes) -> BinMatrix:
         if len(raw) != n:
             raise AdjFormatError(i + 2,
                                  f"row has {len(raw)} characters, expected {n}")
-        if any(c not in b"01" for c in raw):
+        if raw.translate(None, b"01"):
             raise AdjFormatError(i + 2, "rows may contain only '0' and '1'")
-        if raw[i:i + 1] == b"1":
+        if raw[i] == 0x31:
             raise AdjFormatError(i + 2, "diagonal characters must be '0'")
-        rows.append([1 if c == 0x31 else 0 for c in raw])
-    return BinMatrix.from_rows(rows)
+        # character j is bit j, so the reversed row reads as a binary number
+        rows.append(int(raw[::-1], 2))
+    return BinMatrix(n, tuple(rows))
 
 
 def read_adj(path: str | Path) -> BinMatrix:

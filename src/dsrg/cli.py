@@ -108,10 +108,10 @@ def _construct(args: argparse.Namespace) -> cons.ConstructionResult:
         if args.sigma1 is not None and args.sigma2 is not None and args.s_set:
             s_set = frozenset(int(x) for x in args.s_set.split(","))
             return cons.qr_dsrg(args.q, args.sigma1, args.sigma2, s_set)
-        triples = cons.qr_search(args.q)
-        if not triples:
+        triple = next(cons._qr_triples(args.q), None)
+        if triple is None:
             raise ValueError(f"no valid quadratic-residue triples for q={args.q}")
-        s1, s2, s_set = triples[0]
+        s1, s2, s_set = triple
         return cons.qr_dsrg(args.q, s1, s2, s_set)
     if method == "pq":
         if not args.tournament:
@@ -255,21 +255,26 @@ def all_construction_results(max_n: int,
     """
     results: list[cons.ConstructionResult] = []
 
-    def attempt(thunk, description: str) -> None:
+    def attempt(thunk, description: str) -> cons.ConstructionResult | None:
         try:
-            results.append(thunk())
+            result = thunk()
         except ValueError as exc:
             if failures is None:
                 raise
             failures.append(f"{description}: {exc}")
+            return None
+        results.append(result)
+        return result
 
     tournament_cache = {order: _tournament_sources(order)
                         for order in range(3, 18, 2)}
     for order, sources in tournament_cache.items():
         k = (order - 1) // 2
         for t, label in sources:
+            base = None
             if 4 * k + 2 <= max_n:
-                attempt(lambda: cons.duval_b(t, label), f"duval_B({label})")
+                base = attempt(lambda: cons.duval_b(t, label),
+                               f"duval_B({label})")
                 attempt(lambda: cons.duval_c(t, label), f"duval_C({label})")
                 attempt(lambda: cons.m_construction(t, label), f"m_of({label})")
             for w in range(2, max_n // (4 * k + 2) + 1):
@@ -290,8 +295,7 @@ def all_construction_results(max_n: int,
                         t, perms[0],
                         f"{label},p={','.join(map(str, perms[0].images))}"),
                         f"pq({label})")
-            if 4 * k + 2 <= max_n:
-                base = cons.duval_b(t, label)
+            if base is not None:
                 for m in range(2, max_n // (4 * k + 2) + 1):
                     for side in ("left", "right"):
                         attempt(lambda m=m, side=side: cons.kronecker_expand(
@@ -301,9 +305,9 @@ def all_construction_results(max_n: int,
         attempt(lambda s=s: cons.cycle_sum_dsrg(s), f"lem7(s={s})")
     for q in (5, 13, 17):
         if 2 * q <= max_n:
-            triples = cons.qr_search(q)
-            if triples:
-                s1, s2, s_set = triples[0]
+            triple = next(cons._qr_triples(q), None)
+            if triple is not None:
+                s1, s2, s_set = triple
                 attempt(lambda: cons.qr_dsrg(q, s1, s2, s_set), f"qr(q={q})")
     if 6 <= max_n:
         s3 = grp.symmetric_group(3)

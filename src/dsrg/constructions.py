@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .iso import BoundExceeded
 from .matrix import (BinMatrix, PermSpec, block_compose, cycle_power,
@@ -274,9 +274,20 @@ def qr_dsrg(q: int, sigma1: int, sigma2: int,
     raise ValueError(f"no sigma1-circulant completes the construction for {desc}")
 
 
-def qr_search(q: int, bound: int = 29) -> list[tuple[int, int, frozenset[int]]]:
+_QR_SEARCH_BOUND = 29
+
+
+def qr_search(q: int, bound: int = _QR_SEARCH_BOUND
+              ) -> list[tuple[int, int, frozenset[int]]]:
     """All (sigma1, sigma2, S) triples passing the quadratic-residue
     preconditions, ascending in sigma1 and then in sorted S."""
+    return list(_qr_triples(q, bound))
+
+
+def _qr_triples(q: int, bound: int = _QR_SEARCH_BOUND
+                ) -> Iterator[tuple[int, int, frozenset[int]]]:
+    """The triples of qr_search in its order, generated lazily: the first
+    one costs only the subsets tested up to its support."""
     if not is_prime(q) or q % 4 != 1:
         raise ValueError(f"need a prime q = 1 (mod 4), got {q}")
     if q > bound:
@@ -289,7 +300,9 @@ def qr_search(q: int, bound: int = 29) -> list[tuple[int, int, frozenset[int]]]:
         sigma2 = mod_inverse(sigma1, q)
         if sigma2 in non_residues:
             pairs.append((sigma1, sigma2))
+    # the inverse of a non-residue is a non-residue, so pairs is not empty
     valid_sets = []
+    s1, s2 = pairs[0]
     for combo in itertools.combinations(range(1, q), 2 * m):
         support = frozenset(combo)
         try:
@@ -297,7 +310,10 @@ def qr_search(q: int, bound: int = 29) -> list[tuple[int, int, frozenset[int]]]:
         except ValueError:
             continue
         valid_sets.append(support)
-    return [(s1, s2, s) for s1, s2 in pairs for s in valid_sets]
+        yield s1, s2, support
+    for s1, s2 in pairs[1:]:
+        for support in valid_sets:
+            yield s1, s2, support
 
 
 def pq_dsrg(qmat: Tournament, p: PermSpec,

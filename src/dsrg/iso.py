@@ -3,12 +3,17 @@
 The engine is classical individualization-refinement: vertices are colored
 by iterated in/out neighborhood histograms, and when refinement stalls a
 vertex of the smallest non-singleton color class is individualized and the
-search branches.  ``are_isomorphic`` runs the two graphs in lockstep and
+search branches.  Refinement is driven by splitter cells: after a first
+round against every cell, each round counts neighbors only in the cells
+that have just split, which yields the same colorings as recounting
+against every cell.  ``are_isomorphic`` runs the two graphs in lockstep and
 returns an explicit relabeling witness; ``canonical_form`` minimizes the
 relabeled matrix over the leaves of the search tree (in shell order: row
 and column fragments of the leading fixed vertices), pruning with
-automorphisms discovered along the way.  Canonical matrices of two graphs
-are equal exactly when the graphs are isomorphic.
+automorphisms discovered along the way.  The shells of a node are gathered
+from per-vertex row and column bit strings in one pass and compared as
+one list.  Canonical matrices of two graphs are equal exactly when the
+graphs are isomorphic.
 
 Twins (vertices with identical in- and out-neighborhoods) are
 interchangeable, so branching through a twin class only repeats work.
@@ -21,7 +26,9 @@ include ``CERT_VERSION``, which changes whenever canonical matrices do.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .matrix import BinMatrix, PermSpec
@@ -54,28 +61,40 @@ def _refine_joint(graphs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
                   colorings: Sequence[list[int]]) -> list[list[int]] | None:
     """Stable joint color refinement.
 
-    Color ids are assigned from the sorted union of signatures, so two
-    graphs refined together keep comparable ids.  Returns None as soon as
-    the signature multisets of the graphs diverge (then no isomorphism can
-    respect the colorings).
+    A vertex's signature is its color followed by its in and out counts
+    against each splitter cell, as digits in base n + 1.  Color ids are
+    assigned from the sorted union of signatures, so two graphs refined
+    together keep comparable ids.  Returns None as soon as the signature
+    multisets of the graphs diverge (then no isomorphism can respect the
+    colorings).
+
+    The first round uses every cell as a splitter; each later round uses
+    only the cells whose parent color split in the round before.  Counts
+    against any other cell were already part of an earlier signature, so
+    they are constant on every current cell (and equal across the graphs)
+    and cannot change the order of the signatures, their number or the
+    multiset check.  A discrete coloring is stable and is returned at once.
     """
     n = len(colorings[0])
     base = n + 1
+    base2 = base * base
     colorings = [list(c) for c in colorings]
     ncolors = max(max(c) for c in colorings) + 1
+    splitters: Sequence[int] = range(ncolors)
     while True:
         sigs_all: list[list[int]] = []
         for (rows, cols), colors in zip(graphs, colorings):
             masks = [0] * ncolors
             for v, c in enumerate(colors):
                 masks[c] |= 1 << v
+            masks = [masks[c] for c in splitters]
             sigs = []
             for v in range(n):
                 rv = rows[v]
                 cv = cols[v]
                 s = colors[v]
                 for m in masks:
-                    s = s * base * base + (rv & m).bit_count() * base \
+                    s = s * base2 + (rv & m).bit_count() * base \
                         + (cv & m).bit_count()
                 sigs.append(s)
             sigs_all.append(sigs)
@@ -86,8 +105,14 @@ def _refine_joint(graphs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
         values = sorted(set().union(*(set(s) for s in sigs_all)))
         rank = {v: i for i, v in enumerate(values)}
         colorings = [[rank[s] for s in sigs] for sigs in sigs_all]
-        if len(values) == ncolors:
+        if len(values) == ncolors or len(values) == n:
             return colorings
+        # the leading digit of a signature is its parent color; ids of one
+        # parent are consecutive, and every piece of a split cell is a splitter
+        lead = base2 ** len(splitters)
+        parents = [s // lead for s in values]
+        pieces = Counter(parents)
+        splitters = [i for i, p in enumerate(parents) if pieces[p] > 1]
         ncolors = len(values)
 
 
@@ -246,8 +271,11 @@ class _CanonicalSearch:
     def __init__(self, graph: tuple[tuple[int, ...], tuple[int, ...]],
                  colors: list[int]):
         self.n = len(colors)
-        self.rows = graph[0]
         self.graph = graph
+        # bit j of vertex u's row (column) is character j of its string
+        spec = "{:0%db}" % self.n
+        self.row_chars = [spec.format(r)[::-1] for r in graph[0]]
+        self.col_chars = [spec.format(c)[::-1] for c in graph[1]]
         self.colors = colors
         self.best_shells: list[int] | None = None
         self.best_order: list[int] | None = None
@@ -277,28 +305,29 @@ class _CanonicalSearch:
             prefix.append(member[c])
         return prefix
 
-    def _shell(self, fixed: list[int], m: int) -> int:
-        row = self.rows[fixed[m]]
-        value = 0
-        for q in range(m + 1):
-            value = (value << 1) | ((row >> fixed[q]) & 1)
-        col = fixed[m]
-        for q in range(m):
-            value = (value << 1) | ((self.rows[fixed[q]] >> col) & 1)
-        return value
+    def _shells(self, fixed: list[int]) -> list[int]:
+        """Shell of each fixed vertex: its row at fixed[:m+1], then its
+        column at fixed[:m], read as one binary number."""
+        if not fixed:
+            return []
+        # one index makes itemgetter return a character, not a tuple;
+        # join reads both alike
+        gather = itemgetter(*fixed)
+        return [int("".join(gather(self.row_chars[u])[:m + 1])
+                    + "".join(gather(self.col_chars[u])[:m]), 2)
+                for m, u in enumerate(fixed)]
 
     def _visit(self, colors: list[int], depth: int) -> int:
         """Explore one node; returns the depth to unwind to (backjump)."""
         fixed = self._fixed_prefix(colors)
+        shells: list[int] = []
         if self.best_shells is not None:
-            for m in range(len(fixed)):
-                sv = self._shell(fixed, m)
-                if sv > self.best_shells[m]:
-                    return self._NO_JUMP
-                if sv < self.best_shells[m]:
-                    break
+            shells = self._shells(fixed)
+            if shells > self.best_shells[:len(shells)]:
+                return self._NO_JUMP
         if len(fixed) == self.n:
-            shells = [self._shell(fixed, m) for m in range(self.n)]
+            if not shells:
+                shells = self._shells(fixed)
             if self.best_shells is None or shells < self.best_shells:
                 self.best_shells = shells
                 self.best_order = fixed

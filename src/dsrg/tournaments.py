@@ -395,7 +395,10 @@ def enumerate_regular_tournaments(n: int,
     out = []
     for mat in canonical:
         t = check_tournament(mat)
-        assert t.valency == k
+        if t.valency != k:
+            raise AssertionError(
+                f"canonical representative has valency {t.valency}, "
+                f"expected {k}")
         lam = is_doubly_regular_tournament(t) if n % 4 == 3 else None
         out.append(Tournament(mat, k, lam))
     return out

@@ -1,7 +1,11 @@
+import hashlib
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsrg import BinMatrix, read_adj, write_adj
 from dsrg.adjio import AdjFormatError, format_adj, parse_adj
@@ -36,6 +40,42 @@ def test_adj_format_rejections():
         parse_adj(b"x\n")
     with pytest.raises(AdjFormatError):
         parse_adj(b"2\r\n01\r\n10\r\n")  # CR line endings
+
+
+@pytest.mark.parametrize("data, line, message", [
+    (b"2\n01\n11\n", 3, "diagonal characters must be '0'"),
+    (b"2\n10\n00\n", 2, "diagonal characters must be '0'"),
+    (b"2\n01\n1\n", 3, "row has 1 characters, expected 2"),
+    (b"2\n01 \n10\n", 2, "row has 3 characters, expected 2"),
+    (b"2\n01\n10", 3, "file must end with a line feed"),
+    (b"", 1, "file must end with a line feed"),
+    (b"x\n", 1, "order is not a decimal integer: b'x'"),
+    (b"2\r\n01\r\n10\r\n", 1, "order is not a decimal integer: b'2\\r'"),
+    (b"0\n", 1, "order must be positive, got 0"),
+    (b"3\n010\n001\n100\n000\n", 6, "expected 3 adjacency rows, found 4"),
+    (b"3\n012\n000\n000\n", 2, "rows may contain only '0' and '1'"),
+    (b"2\n00\n0x\n", 3, "rows may contain only '0' and '1'"),
+    (b"2\n0\xff\n00\n", 2, "rows may contain only '0' and '1'"),
+    (b"2\n1x\n00\n", 2, "rows may contain only '0' and '1'"),
+])
+def test_adj_format_error_lines_and_messages(data, line, message):
+    with pytest.raises(AdjFormatError) as info:
+        parse_adj(data)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {message}"
+
+
+@st.composite
+def loopless_matrices(draw):
+    n = draw(st.integers(1, 24))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    return BinMatrix(n, tuple(r & ~(1 << i) for i, r in enumerate(rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(loopless_matrices())
+def test_adj_parse_format_round_trip(m):
+    assert parse_adj(format_adj(m).encode()) == m
 
 
 def test_construct_cycle_sum(tmp_path):
@@ -206,6 +246,27 @@ def test_catalog_deterministic(tmp_path):
     a = format_catalog(build_catalog(12))
     b = format_catalog(build_catalog(12))
     assert a == b
+
+
+@pytest.mark.parametrize("max_n, digest", [
+    (20, "65047fd8de5477b8158896581b5015ed15999b8dff4a30b0c0b0ddd7f6c461ca"),
+    (34, "2fa815fceb11d50c27b34545a5b48ea09afb3c9e07d55d14cab327159e02e5ef"),
+])
+def test_catalog_golden_digest(max_n, digest):
+    # pins every canonical matrix and certificate hash of the catalog
+    text = format_catalog(build_catalog(max_n))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_duval_b_built_once_per_tournament():
+    # the duval_B result is also the base of the kron expansions
+    from dsrg import constructions as cons
+    from dsrg.cli import all_construction_results
+    with mock.patch.object(cons, "duval_b", wraps=cons.duval_b) as spy:
+        results = all_construction_results(20)
+    built = [r for r in results if r.method == "duval_B"]
+    assert spy.call_count == len(built) > 0
+    assert any(r.method == "kron" for r in results)
 
 
 def test_catalog_unique_graph_at_8():

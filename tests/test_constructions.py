@@ -157,6 +157,26 @@ def test_qr_search_small():
         cons.qr_search(37)
 
 
+@pytest.mark.parametrize("q", [5, 13, 17])
+def test_qr_search_order_and_lazy_first_triple(q):
+    # every (sigma1, sigma2) pair of non-residues against every support
+    # that passes the difference-partition check, pairs outermost
+    m = (q - 1) // 4
+    residues = cons.quadratic_residues(q)
+    pairs = [(s1, cons.mod_inverse(s1, q)) for s1 in range(1, q)
+             if s1 not in residues and cons.mod_inverse(s1, q) not in residues]
+    supports = []
+    for combo in itertools.combinations(range(1, q), 2 * m):
+        try:
+            cons._check_difference_partition(q, m, frozenset(combo))
+        except ValueError:
+            continue
+        supports.append(frozenset(combo))
+    expected = [(s1, s2, s) for s1, s2 in pairs for s in supports]
+    assert cons.qr_search(q) == expected
+    assert next(cons._qr_triples(q)) == expected[0]
+
+
 def test_qr_13():
     s1, s2, s_set = cons.qr_search(13)[0]
     assert cons.qr_dsrg(13, s1, s2, s_set).params.as_tuple() == \

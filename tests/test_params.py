@@ -154,3 +154,83 @@ def test_enumerate_feasible_composite_orders():
 def test_try_verify():
     assert try_verify_dsrg(cycle_power(4, 1)) is None
     assert try_verify_dsrg(FIXTURE_8) is not None
+
+
+def dense_verify(a):
+    """verify_dsrg's checks, in its order, on dense lists: the outcome as
+    ("ok", parameters) or ("NotDsrg", constraint, position, detail)."""
+    n = a.n
+    rows = a.to_lists()
+    k = sum(rows[0])
+    for i in range(n):
+        if sum(rows[i]) != k:
+            return ("NotDsrg", "row-sum", (i, i),
+                    f"row {i} sums to {sum(rows[i])}, row 0 to {k}")
+    for j in range(n):
+        s = sum(rows[i][j] for i in range(n))
+        if s != k:
+            return ("NotDsrg", "column-sum", (j, j),
+                    f"column {j} sums to {s}, expected {k}")
+    sq = [[sum(rows[i][h] * rows[h][j] for h in range(n)) for j in range(n)]
+          for i in range(n)]
+    t = sq[0][0]
+    values = {1: None, 0: None}
+    for i in range(n):
+        if sq[i][i] != t:
+            return ("NotDsrg", "t-constancy", (i, i),
+                    f"diagonal of A^2 is {sq[i][i]} at {i}, {t} at 0")
+        for j in range(n):
+            if i == j:
+                continue
+            adjacent = rows[i][j]
+            if values[adjacent] is None:
+                values[adjacent] = sq[i][j]
+            elif sq[i][j] != values[adjacent]:
+                if adjacent:
+                    return ("NotDsrg", "lambda-constancy", (i, j),
+                            f"adjacent pair has {sq[i][j]} paths, "
+                            f"expected {values[1]}")
+                return ("NotDsrg", "mu-constancy", (i, j),
+                        f"non-adjacent pair has {sq[i][j]} paths, "
+                        f"expected {values[0]}")
+    return ("ok", (n, k, t, values[1] or 0, values[0] or 0))
+
+
+def _switched(a, rng, count):
+    """a with `count` random 2x2 switches; row and column sums and the zero
+    diagonal are kept, so the later checks of verify_dsrg are reached."""
+    rows = a.to_lists()
+    n = a.n
+    for _ in range(count):
+        i, k, j, l = (rng.randrange(n) for _ in range(4))
+        if len({i, k}) < 2 or len({j, l}) < 2 or i in (j, l) or k in (j, l):
+            continue
+        if rows[i][j] == rows[k][l] == 1 and rows[i][l] == rows[k][j] == 0:
+            rows[i][j] = rows[k][l] = 0
+            rows[i][l] = rows[k][j] = 1
+    return BinMatrix.from_rows(rows)
+
+
+def test_verify_dsrg_matches_dense_oracle():
+    rng = random.Random(5)
+    cases = []
+    for base in (FIXTURE_8, FIXTURE_10, cycle_power(7, 1) | cycle_power(7, 2)):
+        cases.append(base)
+        cases += [_switched(base, rng, rng.randint(1, 4)) for _ in range(40)]
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        cases.append(BinMatrix.from_rows(
+            [[0 if i == j else rng.randint(0, 1) for j in range(n)]
+             for i in range(n)]))
+    outcomes = set()
+    for a in cases:
+        expected = dense_verify(a)
+        try:
+            got = ("ok", verify_dsrg(a).as_tuple())
+        except NotDsrg as exc:
+            got = ("NotDsrg", exc.constraint, exc.position, exc.detail)
+        assert got == expected, a
+        outcomes.add(got[0] if got[0] == "ok" else got[1])
+    # every check is reached by some case
+    assert outcomes == {"ok", "row-sum", "column-sum", "t-constancy",
+                        "lambda-constancy", "mu-constancy"}
