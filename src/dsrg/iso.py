@@ -418,14 +418,13 @@ def _canonical(graph: tuple[tuple[int, ...], tuple[int, ...]]
         colors = [sizes.index(len(m)) for m in members]
         order = [v for c in _CanonicalSearch(quotient, colors).run()
                  for v in members[c]]
-    canonical = []
-    for r in range(n):
-        src = rows[order[r]]
-        value = 0
-        for c in range(n):
-            value |= ((src >> order[c]) & 1) << c
-        canonical.append(value)
-    return BinMatrix(n, tuple(canonical)), order
+    # bit c of canonical row r is bit order[c] of row order[r]; gather the
+    # bits from each row's binary string, most significant column first
+    fmt = f"0{n}b"
+    gather = itemgetter(*[n - 1 - v for v in reversed(order)])
+    canonical = tuple(int("".join(gather(format(rows[v], fmt))), 2)
+                      for v in order)
+    return BinMatrix(n, canonical), order
 
 
 def canonical_form(a: BinMatrix, bound: int = DEFAULT_BOUND) -> IsoCertificate:

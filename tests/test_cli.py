@@ -1,6 +1,8 @@
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 from dsrg import BinMatrix, read_adj, write_adj
 from dsrg.adjio import AdjFormatError, format_adj, parse_adj
-from dsrg.cli import build_catalog, format_catalog, main, read_catalog
+from dsrg.cli import (FEASIBLE_MAX_N, build_catalog, format_catalog, main,
+                      read_catalog)
 from known_graphs import FIXTURE_8
 
 
@@ -146,6 +149,26 @@ def test_feasible_empty():
 def test_feasible_cap():
     code, _, stderr = run_cli("feasible", "20000")
     assert code == 2 and "cap" in stderr
+
+
+def test_feasible_just_above_cap_refused():
+    # refused before any scanning, so this does not run the cap itself
+    code, stdout, stderr = run_cli("feasible", str(FEASIBLE_MAX_N + 1))
+    assert code == 2 and "cap" in stderr and stdout == ""
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("args", [("feasible", "60"), ("catalog", "20")])
+def test_output_unchanged_under_python_O(args):
+    # every check is real code, so stripping asserts changes no output
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    procs = [subprocess.run([sys.executable, *flags, "-m", "dsrg", *args],
+                            capture_output=True, env=env)
+             for flags in ([], ["-O"])]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert procs[0].stdout and procs[0].stdout == procs[1].stdout
 
 
 def test_classify_groups_files(tmp_path):

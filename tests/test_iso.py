@@ -482,3 +482,66 @@ def test_refine_joint_matches_full_signature_oracle(inputs):
     assert len(graphs) == 2 and expected is None and got is not None
     assert all(sorted(c) == list(range(n)) for c in got)
     assert not _color_matching_is_isomorphism(graphs, got)
+
+
+# -- property tests on twin-free graphs --------------------------------------
+
+
+def _twin_free(a):
+    return len(set(zip(a.rows, a.transpose().rows))) == a.n
+
+
+@st.composite
+def random_digraphs(draw, max_order=12):
+    n = draw(st.integers(1, max_order))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n,
+                         max_size=n))
+    return BinMatrix(n, tuple(r & ~(1 << i) for i, r in enumerate(rows)))
+
+
+@st.composite
+def circulant_digraphs(draw, max_order=16):
+    """Vertex-transitive digraphs, which make the search branch."""
+    n = draw(st.integers(2, max_order))
+    conn = draw(st.sets(st.integers(1, n - 1), min_size=1))
+    return BinMatrix.from_rows([[int((j - i) % n in conn) for j in range(n)]
+                                for i in range(n)])
+
+
+CONSTRUCTED_TWIN_FREE = [
+    *(build(circulant_tournament(3, {1})).adj
+      for build in (cons.team_dsrg, cons.duval_b, cons.duval_c)),
+    cons.cycle_sum_dsrg(3).adj, cons.m_construction(paley_tournament(7)).adj]
+
+twin_free = st.one_of(random_digraphs(), circulant_digraphs(),
+                      st.sampled_from(CONSTRUCTED_TWIN_FREE)).filter(_twin_free)
+
+
+@settings(max_examples=80, deadline=None)
+@given(twin_free, st.data())
+def test_canonical_form_relabeling_invariant_twin_free(a, data):
+    p = PermSpec(tuple(data.draw(st.permutations(range(a.n)))))
+    assert canonical_form(a).canonical == \
+        canonical_form(conjugate_by_perm(a, p)).canonical
+
+
+@settings(max_examples=80, deadline=None)
+@given(twin_free, st.data())
+def test_are_isomorphic_witness_sound_twin_free(a, data):
+    # a relabelled copy, perhaps with one arc flipped, so that some pairs
+    # are isomorphic and some are not
+    p = PermSpec(tuple(data.draw(st.permutations(range(a.n)))))
+    b = conjugate_by_perm(a, p)
+    if a.n > 1 and data.draw(st.booleans()):
+        i, j = data.draw(st.permutations(range(a.n)))[:2]
+        rows = list(b.rows)
+        rows[i] ^= 1 << j
+        b = BinMatrix(b.n, tuple(rows))
+    same = canonical_form(a).canonical == canonical_form(b).canonical
+    witness = are_isomorphic(a, b)
+    with mock.patch.object(iso, "_MAPPING_SEARCH_BUDGET", 0):
+        canonical_witness = are_isomorphic(a, b)
+    for w in (witness, canonical_witness):
+        assert (w is not None) == same
+        if w is not None:
+            assert conjugate_by_perm(a, w) == b

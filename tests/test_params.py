@@ -1,6 +1,9 @@
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsrg import (DOUBLY_REGULAR_TOURNAMENT, GENUINE, UNDIRECTED, BinMatrix,
                   DsrgParams, NotDsrg, complement_graph, complement_params,
@@ -142,6 +145,76 @@ def test_enumerate_feasible_closed_under_complement():
             continue
         if comp.is_genuine:
             assert comp.as_tuple() in found
+
+
+def _scan_oracle(max_n):
+    """The quartic scan enumerate_feasible replaced, kept as its oracle."""
+    found = []
+    for n in range(1, max_n + 1):
+        for k in range(2, n):
+            denom = n - 1 - k
+            if denom <= 0:
+                # k = n-1 forces t = k(k - lam) >= k, never genuine.
+                continue
+            for t in range(1, k):
+                for lam in range(0, t):
+                    numer = k * (k - lam) - t
+                    if numer <= 0 or numer % denom:
+                        continue
+                    mu = numer // denom
+                    if not 1 <= mu <= t:
+                        continue
+                    p = DsrgParams(n, k, t, lam, mu)
+                    if duval_feasible(p).feasible:
+                        found.append(p)
+    return found
+
+
+@pytest.mark.parametrize("max_n", [*range(13), 60, 120])
+def test_enumerate_feasible_matches_scan_oracle(max_n):
+    assert enumerate_feasible(max_n) == _scan_oracle(max_n)
+
+
+@functools.cache
+def _feasible_40():
+    return frozenset(p.as_tuple() for p in enumerate_feasible(40))
+
+
+@st.composite
+def parameter_tuples(draw):
+    """Tuples with n <= 40.  Most of them satisfy the balance equation
+    k(k - lambda) = t + (n-1-k) mu, with t solved from a drawn mu, so that
+    feasible tuples are drawn often."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(0, n - 1))
+    lam = draw(st.integers(0, k))
+    d = n - 1 - k
+    big_k = k * (k - lam)
+    if d > 0:
+        # mu with 0 <= t = K - d mu <= k, if there is one
+        lo, hi = max(0, -(-(big_k - k) // d)), big_k // d
+        if lo <= hi and draw(st.integers(0, 3)):
+            mu = draw(st.integers(lo, hi))
+            return DsrgParams(n, k, big_k - d * mu, lam, mu)
+    t = draw(st.integers(0, k))
+    return DsrgParams(n, k, t, lam, draw(st.integers(0, n)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(parameter_tuples())
+def test_enumerate_feasible_iff_duval_feasible(p):
+    expected = p.is_genuine and duval_feasible(p).feasible
+    assert (p.as_tuple() in _feasible_40()) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(parameter_tuples())
+def test_complement_params_involution(p):
+    try:
+        comp = complement_params(p)
+    except ValueError:
+        return
+    assert complement_params(comp) == p
 
 
 def test_enumerate_feasible_composite_orders():
