@@ -22,8 +22,8 @@ from .iso import CERT_VERSION, BoundExceeded, canonical_form
 from .matrix import BinMatrix, PermSpec
 from .numth import is_prime
 from .params import DsrgParams, NotDsrg, enumerate_feasible, verify_dsrg
-from .tournaments import (NotTournament, Tournament, check_tournament,
-                          circulant_tournament,
+from .tournaments import (ENUMERATION_LIMIT, NotTournament, Tournament,
+                          check_tournament, circulant_tournament,
                           enumerate_regular_tournaments, paley_tournament)
 
 CATALOG_MAX_N = 48
@@ -457,8 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     tn = sub.add_parser("tournaments", help="enumerate regular tournaments")
     tn.add_argument("--n", type=int, required=True)
-    tn.add_argument("--limit", type=int, default=9,
-                    help="enumeration order limit (raise explicitly for 11)")
+    tn.add_argument("--limit", type=int, default=ENUMERATION_LIMIT,
+                    help="largest order enumerated (default %(default)s; "
+                         "higher orders are refused unless raised here)")
     tn.add_argument("-o", "--output")
     tn.set_defaults(handler=cmd_tournaments)
 

@@ -115,13 +115,13 @@ class BinMatrix:
     # -- elementwise -------------------------------------------------------
 
     def transpose(self) -> "BinMatrix":
-        cols = [0] * self.n
-        for i, r in enumerate(self.rows):
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= 1 << i
-                r ^= low
-        return BinMatrix(self.n, tuple(cols))
+        # Spell the rows, last row first, as n-digit binary strings and join
+        # them: every n-th character from offset n-1-j is then column j,
+        # most significant row first.
+        n = self.n
+        spelled = "".join(map(f"{{:0{n}b}}".format, reversed(self.rows)))
+        return BinMatrix(n, tuple(int(spelled[p::n], 2)
+                                  for p in range(n - 1, -1, -1)))
 
     def __or__(self, other: "BinMatrix") -> "BinMatrix":
         if self.n != other.n:

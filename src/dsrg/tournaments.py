@@ -7,19 +7,25 @@ regular tournaments (each out-neighborhood spans a regular tournament,
 order 4*lam+3) feed the team-tournament constructions.  This module
 builds circulant and quadratic-residue tournaments, certifies the defining
 properties, assembles the bordered two-team layouts, and enumerates
-regular tournaments up to isomorphism at small orders.
+regular tournaments up to isomorphism at small orders (through order 11 by
+default).  The enumeration fixes vertex 0's out- and in-neighbourhoods to
+one representative per class of half-order tournaments and fills in the
+cross arcs between them up to the representatives' automorphisms, so it
+yields few more candidates than there are classes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from . import iso
-from .matrix import BinMatrix, _full_mask, block_compose, cycle_power, mat_mul_count
+from .matrix import (BinMatrix, PermSpec, _full_mask, block_compose,
+                     conjugate_by_perm, cycle_power, mat_mul_count)
 from .numth import is_prime, quadratic_residues
 
-ENUMERATION_LIMIT = 9
+ENUMERATION_LIMIT = 11
 
 
 class NotTournament(Exception):
@@ -304,56 +310,114 @@ def is_doubly_regular_team(a: BinMatrix) -> TeamProfile | None:
     return TeamProfile(alpha, beta, gamma if gamma is not None else 0, k)
 
 
-def _regular_completions(n: int) -> list[tuple[int, ...]]:
-    """All regular tournaments on n labeled vertices with out(0) = {1..k}.
+def _code(rows: Sequence[int], verts: Sequence[int],
+          pairs: list[tuple[int, int]]) -> int:
+    """Bit b set when verts[p] beats verts[q], for (p, q) = pairs[b]."""
+    return sum(1 << b for b, (p, q) in enumerate(pairs)
+               if rows[verts[p]] >> verts[q] & 1)
 
-    Every isomorphism class has such a labeling, so the list meets every
-    class at least once.  When k >= 2 the labelings are further restricted
-    by 1 -> 2 (a swap of two out-neighbors of 0) and by k+1 -> k+2
-    (a swap of two in-neighbors), which keeps class coverage intact.
+
+def _small_classes(k: int, pairs: list[tuple[int, int]]) -> tuple[
+        list[tuple[list[int], list[tuple[int, ...]]]], dict[int, int]]:
+    """Order-k tournaments up to isomorphism, from all labeled ones.
+
+    Returns each class's smallest code as rows, with its automorphisms
+    (the identity first), in increasing order of that code, and the
+    class index of every code.
+    """
+    reps: list[tuple[list[int], list[tuple[int, ...]]]] = []
+    class_of: dict[int, int] = {}
+    for code in range(1 << len(pairs)):
+        if code in class_of:
+            continue
+        rows = [0] * k
+        for b, (p, q) in enumerate(pairs):
+            if code >> b & 1:
+                rows[p] |= 1 << q
+            else:
+                rows[q] |= 1 << p
+        autos = []
+        for perm in itertools.permutations(range(k)):
+            image = _code(rows, perm, pairs)
+            class_of[image] = len(reps)
+            if image == code:
+                autos.append(perm)
+        reps.append((rows, autos))
+    return reps, class_of
+
+
+def _cross_matrices(row_sums: list[int], need: list[int]
+                    ) -> Iterator[tuple[int, ...]]:
+    """0/1 matrices, as row bit masks, with these row and column sums."""
+    if not row_sums:
+        yield ()
+        return
+    must = sum(1 << j for j, c in enumerate(need) if c == len(row_sums))
+    can = sum(1 << j for j, c in enumerate(need) if c)
+    for m in range(1 << len(need)):
+        if m.bit_count() == row_sums[0] and m & must == must and not m & ~can:
+            rest = [c - (m >> j & 1) for j, c in enumerate(need)]
+            for tail in _cross_matrices(row_sums[1:], rest):
+                yield (m,) + tail
+
+
+def _neighbourhood_candidates(n: int) -> Iterator[tuple[int, ...]]:
+    """Labeled regular tournaments of odd order n >= 3 meeting every class.
+
+    With k = (n-1)/2, vertex 0 beats 1..k, which induce one representative
+    T_out of the order-k classes, and loses to k+1..2k, which induce a
+    representative T_in.  Regularity fixes the margins of the cross matrix
+    B (B[i][j] = 1 when out-vertex 1+i beats in-vertex k+1+j): row i sums
+    to k - outdeg_{T_out}(i) and column j to 1 + outdeg_{T_in}(j).  A B is
+    kept only if it is the smallest, row by row, in its orbit under
+    Aut(T_out) x Aut(T_in), and a candidate is dropped if some vertex v
+    has a smaller pair (class of out(v), class of in(v)) than vertex 0.
+
+    Coverage: root any regular tournament at a vertex whose pair (a, b) is
+    minimal, and relabel its out- and in-neighbourhoods onto
+    representatives a and b.  The cross arcs then form a B with the forced
+    margins.  An automorphism (alpha, beta) of the two representatives
+    relabels the tournament again, keeps both neighbourhood tournaments
+    and maps B to its orbit under Aut(T_out) x Aut(T_in), so some
+    labeling carries the orbit-minimal B.  That labeling is generated, and
+    no vertex has a smaller pair than vertex 0, so it is not dropped:
+    every isomorphism class is met at least once (isomorph rejection in
+    the style of McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998).
     """
     k = (n - 1) // 2
-    rows = [0] * n
-    out_deg = [0] * n
-    for v in range(1, k + 1):
-        rows[0] |= 1 << v
-    out_deg[0] = k
-    for v in range(k + 1, n):
-        rows[v] |= 1
-        out_deg[v] = 1
-    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n)]
-    forced = {}
-    if k >= 2:
-        forced[(1, 2)] = True
-        if k + 2 <= n - 1:
-            forced[(k + 1, k + 2)] = True
-    remaining = [0] * n
-    for i, j in pairs:
-        remaining[i] += 1
-        remaining[j] += 1
-    results: list[tuple[int, ...]] = []
+    pairs = list(itertools.combinations(range(k), 2))
+    reps, class_of = _small_classes(k, pairs)
+    full = _full_mask(n)
 
-    def place(idx: int) -> None:
-        if idx == len(pairs):
-            results.append(tuple(rows))
-            return
-        i, j = pairs[idx]
-        remaining[i] -= 1
-        remaining[j] -= 1
-        choices = (True,) if forced.get((i, j)) else (True, False)
-        for i_wins in choices:
-            winner, loser = (i, j) if i_wins else (j, i)
-            if out_deg[winner] < k and out_deg[loser] + remaining[loser] >= k:
-                rows[winner] |= 1 << loser
-                out_deg[winner] += 1
-                place(idx + 1)
-                out_deg[winner] -= 1
-                rows[winner] &= ~(1 << loser)
-        remaining[i] += 1
-        remaining[j] += 1
+    def class_of_set(rows: tuple[int, ...], members: int) -> int:
+        verts = [u for u in range(n) if members >> u & 1]
+        return class_of[_code(rows, verts, pairs)]
 
-    place(0)
-    return results
+    for a, (out_rows, out_autos) in enumerate(reps):
+        for b, (in_rows, in_autos) in enumerate(reps):
+            # vertex maps fixing 0; the identity comes first and is skipped
+            relabels = [PermSpec((0, *(1 + i for i in alpha),
+                                  *(k + 1 + j for j in beta)))
+                        for alpha in out_autos for beta in in_autos][1:]
+            for cross in _cross_matrices([k - r.bit_count() for r in out_rows],
+                                         [1 + r.bit_count() for r in in_rows]):
+                rows = (_full_mask(k) << 1,
+                        *(out_rows[i] << 1 | cross[i] << k + 1
+                          for i in range(k)),
+                        *(1 | in_rows[j] << k + 1 |
+                          sum(1 << 1 + i for i in range(k)
+                              if not cross[i] >> j & 1)
+                          for j in range(k)))
+                if any((c := class_of_set(rows, rows[v])) < a or c == a and
+                       class_of_set(rows, full & ~rows[v] & ~(1 << v)) < b
+                       for v in range(1, n)):
+                    continue
+                # relabeled rows 1..k keep their T_out bits and carry the
+                # image of B above them, so the row tuples order as the Bs
+                if all(conjugate_by_perm(BinMatrix(n, rows), p).rows >= rows
+                       for p in relabels):
+                    yield rows
 
 
 def _path2_invariant(m: BinMatrix) -> tuple:
@@ -367,14 +431,17 @@ def enumerate_regular_tournaments(n: int,
     """One canonical representative per isomorphism class of regular
     tournaments of odd order n.
 
-    Exhaustive: labeled candidates are generated with degree pruning and
-    deduplicated against class representatives; the output carries each
-    class's canonical matrix, sorted, so repeated runs are identical.
-    Orders above ``limit`` are refused (runtime explodes); pass a larger
-    limit explicitly for order 11 and accept hours of runtime.
+    Exhaustive: labeled candidates are generated from vertex 0's out- and
+    in-neighbourhoods with isomorph rejection (see
+    ``_neighbourhood_candidates``; 20 candidates for the 15 classes of order
+    9, 1,366 for the 1,223 of order 11) and deduplicated against class
+    representatives; the output carries each class's canonical matrix,
+    sorted, so repeated runs are identical.  Orders above ``limit`` are
+    refused (order 13 has 1,495,297 classes); pass a larger limit
+    explicitly to override.
     """
-    if n % 2 == 0:
-        raise ValueError(f"regular tournaments have odd order, got {n}")
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"regular tournaments have positive odd order, got {n}")
     if n > limit:
         raise iso.BoundExceeded(
             f"order {n} exceeds the enumeration limit {limit}; "
@@ -383,7 +450,7 @@ def enumerate_regular_tournaments(n: int,
         return [Tournament(BinMatrix.zeros(1), 0)]
     k = (n - 1) // 2
     buckets: dict[tuple, list[BinMatrix]] = {}
-    for rows in _regular_completions(n):
+    for rows in _neighbourhood_candidates(n):
         candidate = BinMatrix(n, rows)
         key = _path2_invariant(candidate)
         reps = buckets.setdefault(key, [])

@@ -2,7 +2,6 @@
 with its elapsed time and asserting the stated runtime budget."""
 
 import itertools
-import os
 import random
 import time
 from contextlib import contextmanager
@@ -206,9 +205,6 @@ def test_criterion_11_enumeration_oracle():
             assert set().union(*orbits) == labeled
 
 
-@pytest.mark.skipif(not os.environ.get("DSRG_ENUMERATE_ORDER_11"),
-                    reason="stretch goal: hours of runtime; set "
-                           "DSRG_ENUMERATE_ORDER_11=1 to run")
 def test_criterion_11_stretch_order_11():
     reps = enumerate_regular_tournaments(11, limit=11)
     print(f"order 11 classes: {len(reps)}")

@@ -336,8 +336,23 @@ def test_bound_flag_controls_classify(tmp_path):
 
 
 def test_tournaments_limit_refusal_is_input_error():
-    code, _, stderr = run_cli("tournaments", "--n", "11")
+    code, _, stderr = run_cli("tournaments", "--n", "13")
     assert code == 2 and "limit" in stderr
+
+
+def test_tournaments_negative_order_is_rejected():
+    # the same exit code as an even order
+    for order in ("-1", "4"):
+        code, _, stderr = run_cli("tournaments", "--n", order)
+        assert code == 1 and "positive odd" in stderr
+
+
+def test_tournaments_order_9_golden_digest():
+    # pins the 15 canonical matrices, their order and certificate hashes
+    code, stdout, _ = run_cli("tournaments", "--n", "9")
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == \
+        "4c8fc49acc78023e96dc8d5fe5c54395f9b93b74983c2a5808afb3bd7a510eae"
 
 
 def test_construct_from_non_tournament_file_is_semantic_error(tmp_path):

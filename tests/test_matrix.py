@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dsrg import (BinMatrix, DimensionError, PermSpec, block_compose,
                   conjugate_by_perm, cycle_power, kronecker, mat_mul_count,
@@ -56,6 +58,36 @@ def test_transpose_examples():
     rng = random.Random(1)
     a = random_binmatrix(rng, 7, zero_diag=False)
     assert transpose(transpose(a)) == a
+
+
+def _transpose_by_bits(a):
+    """The former per-bit transpose, kept as an oracle."""
+    cols = [0] * a.n
+    for i, r in enumerate(a.rows):
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= 1 << i
+            r ^= low
+    return BinMatrix(a.n, tuple(cols))
+
+
+@st.composite
+def square_rows(draw):
+    n = draw(st.integers(1, 70))
+    full = (1 << n) - 1
+    row = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    return BinMatrix(n, tuple(draw(st.lists(row, min_size=n, max_size=n))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_rows())
+@example(BinMatrix(1, (0,)))
+@example(BinMatrix(1, (1,)))
+@example(BinMatrix(9, (0,) * 9))
+@example(BinMatrix(64, ((1 << 64) - 1,) * 64))
+@example(BinMatrix(9, (511,) + (0,) * 8))
+def test_transpose_matches_bit_loop(a):
+    assert a.transpose() == _transpose_by_bits(a)
 
 
 def test_product_transpose_identity():

@@ -1,6 +1,9 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsrg import (BinMatrix, NotTournament, Tournament, are_isomorphic,
                   block_compose, check_tournament, circulant_tournament,
@@ -239,17 +242,14 @@ def test_enumeration_rediscovers_circulants():
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
-def test_symmetry_reduced_generation_count(n):
-    # the generator fixes out(0) = {1..k} (one of C(n-1, k) choices) and,
-    # for k >= 2, one arc inside each of the out- and in-sets (each a
-    # 2-to-1 reduction), so its count times the reduction factor must
-    # equal the naive labeled count
-    from math import comb
-    from dsrg.tournaments import _regular_completions
-    k = (n - 1) // 2
-    factor = comb(n - 1, k) * (4 if k >= 2 else 1)
-    assert len(_regular_completions(n)) * factor == \
-        len(naive_labeled_regular_tournaments(n))
+def test_neighbourhood_candidates_cover_every_labeling(n):
+    # every labeled regular tournament is a relabeling of some candidate,
+    # and every candidate is a labeled regular tournament
+    from dsrg.tournaments import _neighbourhood_candidates
+    candidates = list(_neighbourhood_candidates(n))
+    labeled = set(naive_labeled_regular_tournaments(n))
+    assert set(candidates) <= labeled
+    assert set().union(*(orbit_of(rows, n) for rows in candidates)) == labeled
 
 
 def test_enumeration_order_9_class_count():
@@ -262,12 +262,61 @@ def test_enumeration_order_9_class_count():
 
 def test_enumeration_refuses_large_order():
     with pytest.raises(ValueError, match="limit"):
-        enumerate_regular_tournaments(11)
+        enumerate_regular_tournaments(13)
+
+
+@functools.lru_cache(maxsize=None)
+def canonical_classes(n):
+    return {t.adj: t for t in enumerate_regular_tournaments(n)}
+
+
+def test_order_11_has_one_doubly_regular_class():
+    doubly = [t for t in canonical_classes(11).values()
+              if t.doubly_regular_lambda == 2]
+    assert len(doubly) == 1
+    assert all(t.doubly_regular_lambda in (None, 2)
+               for t in canonical_classes(11).values())
+    assert are_isomorphic(doubly[0].adj, paley_tournament(11).adj) is not None
+
+
+def reverse_three_cycles(n, picks):
+    """Walk from the circulant {1..k} by reversing directed 3-cycles.
+
+    Each step lists the directed 3-cycles (a -> b -> c -> a, a smallest)
+    and reverses the one the pick selects; scores never change.
+    """
+    k = (n - 1) // 2
+    rows = list(circulant_tournament(n, range(1, k + 1)).adj.rows)
+    for pick in picks:
+        cycles = [(a, b, c) for a in range(n) for b in range(a + 1, n)
+                  for c in range(a + 1, n)
+                  if rows[a] >> b & 1 and rows[b] >> c & 1 and rows[c] >> a & 1]
+        a, b, c = cycles[pick % len(cycles)]
+        for u, v in ((a, b), (b, c), (c, a)):
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+    return BinMatrix(n, tuple(rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([9, 11]),
+       st.lists(st.integers(0, 10 ** 6), min_size=0, max_size=40))
+def test_random_regular_tournament_is_enumerated(n, picks):
+    from dsrg import canonical_form
+    walked = reverse_three_cycles(n, picks)
+    t = check_tournament(walked)
+    assert t.valency == (n - 1) // 2
+    assert canonical_form(walked).canonical in canonical_classes(n)
 
 
 def test_enumeration_rejects_even_order():
     with pytest.raises(ValueError, match="odd"):
         enumerate_regular_tournaments(4)
+
+
+def test_enumeration_rejects_negative_order():
+    with pytest.raises(ValueError, match="positive odd"):
+        enumerate_regular_tournaments(-1)
 
 
 def test_tournament_plus_transpose_is_full():
