@@ -15,7 +15,7 @@ from .iso import (BoundExceeded, IsoCertificate, are_isomorphic,
                   canonical_form, classify, find_commuting_transposer)
 from .matrix import (BinMatrix, DimensionError, IntMatrix, PermSpec,
                      block_compose, conjugate_by_perm, cycle_power,
-                     kronecker, mat_mul_count, sigma_circulant, transpose)
+                     kronecker, mat_mul_count, sigma_circulant)
 from .params import (DOUBLY_REGULAR_TOURNAMENT, GENUINE, UNDIRECTED,
                      DsrgParams, FeasibilityReport, NotDsrg,
                      complement_graph, complement_params, duval_feasible,

@@ -2,15 +2,17 @@
 
 Exit codes: 0 success, 1 semantic failure (not a DSRG, rejected
 construction, non-isomorphic), 2 input error (bad arguments or malformed
-files).  All behavior is flag-driven; no environment variables are read.
-The --seed flag is accepted for interface stability but the exhaustive
-code paths ignore it.
+files).  A write to a closed pipe (``dsrg ... | head``) ends the command
+quietly with exit code 141, as a SIGPIPE would.  All behavior is
+flag-driven; no environment variables are read.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -84,6 +86,14 @@ def parse_group(desc: str) -> grp.GroupTable:
                      f"(use cyclic/dihedral/symmetric)")
 
 
+def _first_qr(q: int) -> cons.ConstructionResult:
+    """The quadratic-residue graph over the first triple of qr_search."""
+    triple = next(cons._qr_triples(q), None)
+    if triple is None:
+        raise ValueError(f"no valid quadratic-residue triples for q={q}")
+    return cons.qr_dsrg(q, *triple)
+
+
 def _construct(args: argparse.Namespace) -> cons.ConstructionResult:
     method = args.method
     if method in ("duval-b", "duval-c", "m", "lem5", "lem6"):
@@ -110,11 +120,7 @@ def _construct(args: argparse.Namespace) -> cons.ConstructionResult:
         if args.sigma1 is not None and args.sigma2 is not None and args.s_set:
             s_set = frozenset(int(x) for x in args.s_set.split(","))
             return cons.qr_dsrg(args.q, args.sigma1, args.sigma2, s_set)
-        triple = next(cons._qr_triples(args.q), None)
-        if triple is None:
-            raise ValueError(f"no valid quadratic-residue triples for q={args.q}")
-        s1, s2, s_set = triple
-        return cons.qr_dsrg(args.q, s1, s2, s_set)
+        return _first_qr(args.q)
     if method == "pq":
         if not args.tournament:
             raise InputError("pq needs --tournament")
@@ -239,10 +245,9 @@ def _tournament_sources(order: int) -> list[tuple[Tournament, str]]:
     if order <= 7:
         return [(t, f"enum:{order}:{i}")
                 for i, t in enumerate(enumerate_regular_tournaments(order))]
-    sources = [(circulant_tournament(order, set(range(1, (order + 1) // 2))),
-                f"standard:{order}")]
+    sources = [parse_tournament(f"standard:{order}")]
     if is_prime(order) and order % 4 == 3:
-        sources.append((paley_tournament(order), f"paley:{order}"))
+        sources.append(parse_tournament(f"paley:{order}"))
     return sources
 
 
@@ -307,10 +312,7 @@ def all_construction_results(max_n: int,
         attempt(lambda s=s: cons.cycle_sum_dsrg(s), f"lem7(s={s})")
     for q in (5, 13, 17):
         if 2 * q <= max_n:
-            triple = next(cons._qr_triples(q), None)
-            if triple is not None:
-                s1, s2, s_set = triple
-                attempt(lambda: cons.qr_dsrg(q, s1, s2, s_set), f"qr(q={q})")
+            attempt(lambda: _first_qr(q), f"qr(q={q})")
     if 6 <= max_n:
         s3 = grp.symmetric_group(3)
         conn = frozenset({s3.index_of("(12)"), s3.index_of("(123)")})
@@ -338,9 +340,7 @@ def build_catalog(max_n: int, bound: int = CATALOG_MAX_N,
         if cert.cert_hash not in entries:
             entries[cert.cert_hash] = CatalogEntry(
                 r.method, r.input_descriptor, r.params, cert.cert_hash, r.adj)
-    return sorted(entries.values(),
-                  key=lambda e: (e.params.as_tuple(), e.method,
-                                 e.input_descriptor))
+    return list(entries.values())  # inserted in sorted order
 
 
 def format_catalog(entries: Sequence[CatalogEntry]) -> str:
@@ -394,9 +394,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     entries = build_catalog(args.max_n, args.bound, failures)
     if args.output:
         Path(args.output).write_text(format_catalog(entries), encoding="ascii")
-    by_params: dict[tuple[int, ...], int] = {}
-    for e in entries:
-        by_params[e.params.as_tuple()] = by_params.get(e.params.as_tuple(), 0) + 1
+    by_params = Counter(e.params.as_tuple() for e in entries)
     print("n k t lambda mu classes")
     for key in sorted(by_params):
         print(" ".join(map(str, key)) + f" {by_params[key]}")
@@ -412,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "strongly regular graphs.")
     parser.add_argument("--bound", type=int, default=48,
                         help="order bound for isomorphism computations")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved; exhaustive code paths ignore it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build one graph and print its parameters")
@@ -482,14 +478,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except AdjFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (InputError, BoundExceeded) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left; point stdout at /dev/null so the flush at exit
+        # cannot fail again, and exit with 128 + SIGPIPE as a shell reports
+        # a process that the signal killed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (AdjFormatError, InputError, BoundExceeded, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, NotDsrg, NotTournament) as exc:

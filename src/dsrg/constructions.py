@@ -4,12 +4,14 @@ Each function assembles one construction as a total map from certified
 inputs to an adjacency matrix, verifies the defining equations on the
 result, and returns a ConstructionResult carrying the method tag used in
 catalog files, an input descriptor, the matrix, and its parameters.  The
-paired-rows family takes a regular tournament of valency k and yields
-(4k+2, 2k, k, k-1, k); the bordered-team family yields
-(4h+4, 2h+1, h+1, h, h) from order-h tournaments; quadratic-residue and
-symmetric-product block matrices cover (2q, q-1, ...) and
-(2(2mu+1), 2mu, ...); the all-ones Kronecker expansion scales any graph
-with t = mu.
+paired rows and columns and the wide and tall blocks are one alternating
+pattern of A and A^T; they take a regular tournament of valency k and
+yield ((4k+2)w, 2kw, kw, (k-1)w, kw), w = 1 for the paired forms.  The
+bordered-team family yields (4h+4, 2h+1, h+1, h, h) from order-h
+tournaments; quadratic-residue and symmetric-product block matrices cover
+(2q, q-1, ...) and (2(2mu+1), 2mu, ...); the all-ones Kronecker expansion
+scales any graph with t = mu.  Every circulant block is built by
+matrix.sigma_circulant.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .iso import BoundExceeded
-from .matrix import (BinMatrix, PermSpec, block_compose, cycle_power,
+from .matrix import (BinMatrix, PermSpec, _indicator, block_compose,
                      kronecker, sigma_circulant)
 from .numth import is_prime, mod_inverse, quadratic_residues
 from .params import DsrgParams, try_verify_dsrg, verify_dsrg
@@ -75,22 +77,32 @@ def _tournament_label(t: Tournament, label: str | None) -> str:
     return label if label is not None else f"tournament(n={t.order})"
 
 
+def _alternating(t: Tournament, w: int, by_row: bool, method: str,
+                 what: str, descriptor: str) -> ConstructionResult:
+    """The 2w x 2w block grid whose block (r, c) is A when c (or r, with
+    by_row) is even and A^T otherwise: ((4k+2)w, 2kw, kw, (k-1)w, kw)."""
+    if w < 1:
+        raise ValueError(f"block multiplicity must be >= 1, got {w}")
+    a, k = _regular(t, what, min_valency=1)
+    at = a.transpose()
+    adj = block_compose([[at if (r if by_row else c) % 2 else a
+                          for c in range(2 * w)] for r in range(2 * w)])
+    return _result(method, descriptor, adj,
+                   ((4 * k + 2) * w, 2 * k * w, k * w, (k - 1) * w, k * w))
+
+
 def duval_b(t: Tournament, label: str | None = None) -> ConstructionResult:
     """Paired-rows block matrix [[A, A^T], [A, A^T]]: (4k+2, 2k, k, k-1, k)."""
-    a, k = _regular(t, "the paired-rows construction", min_valency=1)
-    at = a.transpose()
-    adj = block_compose([[a, at], [a, at]])
-    return _result(METHOD_DUVAL_B, _tournament_label(t, label), adj,
-                   (4 * k + 2, 2 * k, k, k - 1, k))
+    return _alternating(t, 1, False, METHOD_DUVAL_B,
+                        "the paired-rows construction",
+                        _tournament_label(t, label))
 
 
 def duval_c(t: Tournament, label: str | None = None) -> ConstructionResult:
     """Paired-columns block matrix [[A, A], [A^T, A^T]]: (4k+2, 2k, k, k-1, k)."""
-    a, k = _regular(t, "the paired-columns construction", min_valency=1)
-    at = a.transpose()
-    adj = block_compose([[a, a], [at, at]])
-    return _result(METHOD_DUVAL_C, _tournament_label(t, label), adj,
-                   (4 * k + 2, 2 * k, k, k - 1, k))
+    return _alternating(t, 1, True, METHOD_DUVAL_C,
+                        "the paired-columns construction",
+                        _tournament_label(t, label))
 
 
 def m_of(a: BinMatrix) -> BinMatrix:
@@ -120,30 +132,17 @@ def wide_blocks(t: Tournament, w: int,
     Parameters ((4k+2)w, 2kw, kw, (k-1)w, kw); w = 1 reproduces the
     paired-rows matrix exactly.
     """
-    if w < 1:
-        raise ValueError(f"block multiplicity must be >= 1, got {w}")
-    a, k = _regular(t, "the wide-blocks construction", min_valency=1)
-    at = a.transpose()
-    pattern = [a if c % 2 == 0 else at for c in range(2 * w)]
-    adj = block_compose([pattern] * (2 * w))
-    desc = _tournament_label(t, label) + f",w={w}"
-    return _result(METHOD_WIDE, desc, adj,
-                   ((4 * k + 2) * w, 2 * k * w, k * w, (k - 1) * w, k * w))
+    return _alternating(t, w, False, METHOD_WIDE,
+                        "the wide-blocks construction",
+                        _tournament_label(t, label) + f",w={w}")
 
 
 def tall_blocks(t: Tournament, w: int,
                 label: str | None = None) -> ConstructionResult:
     """Transposed pattern of wide_blocks: 2w block-rows alternating A, A^T."""
-    if w < 1:
-        raise ValueError(f"block multiplicity must be >= 1, got {w}")
-    a, k = _regular(t, "the tall-blocks construction", min_valency=1)
-    at = a.transpose()
-    grid = [[a] * (2 * w) if r % 2 == 0 else [at] * (2 * w)
-            for r in range(2 * w)]
-    adj = block_compose(grid)
-    desc = _tournament_label(t, label) + f",w={w}"
-    return _result(METHOD_TALL, desc, adj,
-                   ((4 * k + 2) * w, 2 * k * w, k * w, (k - 1) * w, k * w))
+    return _alternating(t, w, True, METHOD_TALL,
+                        "the tall-blocks construction",
+                        _tournament_label(t, label) + f",w={w}")
 
 
 def team_dsrg(t: Tournament, label: str | None = None) -> ConstructionResult:
@@ -177,11 +176,7 @@ def cycle_sum_matrix(s: int) -> BinMatrix:
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     n = 2 * s + 2
-    rows = [0] * n
-    for e in range(1, s + 1):
-        for i, r in enumerate(cycle_power(n, e).rows):
-            rows[i] |= r
-    return BinMatrix(n, tuple(rows))
+    return sigma_circulant(n, _indicator(n, range(1, s + 1)), 1)
 
 
 def cycle_sum_dsrg(s: int) -> ConstructionResult:
@@ -205,22 +200,6 @@ def _check_difference_partition(q: int, m: int, s_set: frozenset[int]) -> None:
             raise ValueError(
                 f"difference-partition failure: residue {x} occurs "
                 f"{counts[x]} times, expected {m}")
-
-
-def _residue_matrix(q: int) -> BinMatrix:
-    residues = quadratic_residues(q)
-    rows = []
-    for i in range(q):
-        value = 0
-        for j in range(q):
-            if i != j and (i - j) % q in residues:
-                value |= 1 << j
-        rows.append(value)
-    return BinMatrix(q, tuple(rows))
-
-
-def _indicator(q: int, support: frozenset[int]) -> list[int]:
-    return [1 if j in support else 0 for j in range(q)]
 
 
 def qr_dsrg(q: int, sigma1: int, sigma2: int,
@@ -251,16 +230,14 @@ def qr_dsrg(q: int, sigma1: int, sigma2: int,
         raise ValueError(
             f"s_set must contain {2 * m} nonzero residues, got {sorted(support)}")
     _check_difference_partition(q, m, support)
-    qmat = _residue_matrix(q)
+    # entry (i, j) of the residue matrix is 1 iff i - j is a residue; -1 is
+    # a residue mod q = 1 (mod 4), so that is the circulant on the residues
+    qmat = sigma_circulant(q, _indicator(q, residues), 1)
     c2 = sigma_circulant(q, _indicator(q, support), sigma2)
     complement = frozenset(range(1, q)) - support
-    neg = frozenset((-x) % q for x in support)
-    seen = set()
-    candidates = []
-    for cand in (support, complement, neg, frozenset((-x) % q for x in complement)):
-        if cand not in seen:
-            seen.add(cand)
-            candidates.append(cand)
+    candidates = dict.fromkeys((support, complement,
+                                frozenset((-x) % q for x in support),
+                                frozenset((-x) % q for x in complement)))
     fallback = (frozenset(c) for c in
                 itertools.combinations(range(1, q), 2 * m))
     expected = (2 * q, q - 1, 2 * m, 2 * m - 1, 2 * m)
@@ -295,12 +272,9 @@ def _qr_triples(q: int, bound: int = _QR_SEARCH_BOUND
     m = (q - 1) // 4
     residues = quadratic_residues(q)
     non_residues = [x for x in range(1, q) if x not in residues]
-    pairs = []
-    for sigma1 in non_residues:
-        sigma2 = mod_inverse(sigma1, q)
-        if sigma2 in non_residues:
-            pairs.append((sigma1, sigma2))
-    # the inverse of a non-residue is a non-residue, so pairs is not empty
+    # the inverse of a non-residue is a non-residue, so every non-residue
+    # sigma1 pairs with sigma2 = sigma1^-1
+    pairs = [(s1, mod_inverse(s1, q)) for s1 in non_residues]
     valid_sets = []
     s1, s2 = pairs[0]
     for combo in itertools.combinations(range(1, q), 2 * m):

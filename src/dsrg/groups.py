@@ -6,7 +6,8 @@ totally checkable.  The Cayley digraph of a connection set S puts an arc
 x -> y whenever x*s = y for some s in S (right multiplication).  A subset
 criterion reads the strongly regular parameters straight off the multiset
 of pairwise products of S; dihedral groups carry two explicit subset
-families producing genuine graphs, and an exhaustive subset scan provides
+families producing genuine graphs (hobart_shaw, built directly as block
+circulants without a group table), and an exhaustive subset scan provides
 the brute-force baseline.
 """
 
@@ -18,8 +19,8 @@ from typing import Iterator, Sequence
 
 from .constructions import METHOD_CAYLEY, METHOD_HOBART_SHAW, ConstructionResult
 from .iso import BoundExceeded
-from .matrix import BinMatrix
-from .params import DsrgParams, try_verify_dsrg
+from .matrix import BinMatrix, _indicator, block_compose, sigma_circulant
+from .params import DsrgParams, _first_inconstant, try_verify_dsrg
 
 SCAN_BOUND = 16
 _ASSOCIATIVITY_CHECK_LIMIT = 64
@@ -63,9 +64,7 @@ class GroupTable:
                         if rows[ab][c] != rows[a][rows[b][c]]:
                             raise ValueError(
                                 f"associativity fails at ({a}, {b}, {c})")
-        inverse = [0] * n
-        for a in range(n):
-            inverse[a] = next(b for b in range(n) if rows[a][b] == identity)
+        inverse = [row.index(identity) for row in rows]
         abelian = all(rows[a][b] == rows[b][a]
                       for a in range(n) for b in range(a + 1, n))
         if names is None:
@@ -229,25 +228,13 @@ def cayley_criteria(spec: CayleySpec) -> DsrgParams | None:
         row = g.table[s1]
         for s2 in conn:
             counts[row[s2]] += 1
-    t = counts[g.identity]
-    lam: int | None = None
-    mu: int | None = None
-    for x in range(g.order):
-        if x == g.identity:
-            continue
-        if x in spec.conn:
-            if lam is None:
-                lam = counts[x]
-            elif counts[x] != lam:
-                return None
-        else:
-            if mu is None:
-                mu = counts[x]
-            elif counts[x] != mu:
-                return None
-    params = DsrgParams(g.order, len(conn), t,
-                        lam if lam is not None else 0,
-                        mu if mu is not None else 0)
+    labels = ["e" if x == g.identity else "s" if x in spec.conn else "o"
+              for x in range(g.order)]
+    first, cell = _first_inconstant([counts], [labels])
+    if cell is not None:
+        return None
+    params = DsrgParams(g.order, len(conn), counts[g.identity],
+                        first.get("s", 0), first.get("o", 0))
     verified = try_verify_dsrg(cayley_graph(spec))
     if verified != params:
         raise AssertionError(
@@ -277,6 +264,12 @@ def hobart_shaw(lam: int, parity: str) -> ConstructionResult:
     contributing to |S meet S^-1|, and no smaller t satisfies the balance
     equation.  Tuples violating 0 < t < k (even case with lam = 1) are
     rejected.
+
+    The graph is the Cayley graph of dihedral_group(m) on the runs a..a^r
+    and b..b*a^r (m = 2*lam, r = lam-1 or m = 2*lam+1, r = lam), built
+    as the block circulant [[C, X], [X, C]] in the element order a^i,
+    b*a^i: entry (i, j) of C is 1 when j - i lies in {1..r} and of X when
+    i + j lies in {0..r}, both mod m.
     """
     if lam < 1:
         raise ValueError(f"need lam >= 1, got {lam}")
@@ -291,15 +284,12 @@ def hobart_shaw(lam: int, parity: str) -> ConstructionResult:
     else:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     _, k, t, _, _ = expected
-    if not 0 < t < k:
-        raise ValueError(
-            f"parameters {expected} are not genuine (need 0 < t < k); "
-            f"the {parity} case requires lam >= 2" if parity == "even" else
-            f"parameters {expected} are not genuine (need 0 < t < k)")
-    group = dihedral_group(n_rot)
-    conn = frozenset(range(1, rotations + 1)) | \
-        frozenset(range(n_rot, n_rot + rotations + 1))
-    adj = cayley_graph(CayleySpec(group, conn))
+    if not 0 < t < k:  # only the even case with lam = 1
+        raise ValueError(f"parameters {expected} are not genuine (need "
+                         f"0 < t < k); the even case requires lam >= 2")
+    c = sigma_circulant(n_rot, _indicator(n_rot, range(1, rotations + 1)), 1)
+    x = sigma_circulant(n_rot, _indicator(n_rot, range(rotations + 1)), -1)
+    adj = block_compose([[c, x], [x, c]])
     params = try_verify_dsrg(adj)
     if params is None or params.as_tuple() != expected:
         raise AssertionError(f"dihedral subset verified as {params}, "

@@ -95,9 +95,6 @@ class BinMatrix:
     def row_sums(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
 
-    def col_sums(self) -> list[int]:
-        return self.transpose().row_sums()
-
     def has_zero_diagonal(self) -> bool:
         return all(not (self.rows[i] >> i) & 1 for i in range(self.n))
 
@@ -105,8 +102,7 @@ class BinMatrix:
         return [[(r >> j) & 1 for j in range(self.n)] for r in self.rows]
 
     def row_strings(self) -> list[str]:
-        return ["".join("1" if (r >> j) & 1 else "0" for j in range(self.n))
-                for r in self.rows]
+        return [f"{r:0{self.n}b}"[::-1] for r in self.rows]
 
     def to_bytes(self) -> bytes:
         width = (self.n + 7) // 8
@@ -223,32 +219,23 @@ def mat_mul_count(a: BinMatrix, b: BinMatrix) -> IntMatrix:
         tuple((ra & cb).bit_count() for cb in bt) for ra in a.rows))
 
 
-def transpose(a: BinMatrix) -> BinMatrix:
-    return a.transpose()
-
-
 def kronecker(a: BinMatrix, b: BinMatrix) -> BinMatrix:
     """Block-scaled product: block (i, j) of the result is b where a[i][j] = 1."""
-    nb = b.n
-    rows: list[int] = []
-    for ra in a.rows:
-        for rb in b.rows:
-            value = 0
-            bits = ra
-            while bits:
-                low = bits & -bits
-                value |= rb << ((low.bit_length() - 1) * nb)
-                bits ^= low
-            rows.append(value)
-    return BinMatrix(a.n * nb, tuple(rows))
+    zero = BinMatrix.zeros(b.n)
+    return block_compose([[b if ra >> j & 1 else zero for j in range(a.n)]
+                          for ra in a.rows])
 
 
 def cycle_power(n: int, e: int) -> BinMatrix:
     """Permutation matrix of the e-th power of the n-cycle: (i, j) = 1 iff j = i+e mod n."""
     if n < 1:
         raise DimensionError(f"order must be positive, got {n}")
-    e %= n
-    return BinMatrix(n, tuple(1 << ((i + e) % n) for i in range(n)))
+    return PermSpec.shift(n, e).matrix()
+
+
+def _indicator(n: int, support) -> list[int]:
+    """First row of the circulant whose row 0 has ones exactly on support."""
+    return [1 if j in support else 0 for j in range(n)]
 
 
 def sigma_circulant(n: int, first_row: Sequence[int], sigma: int) -> BinMatrix:

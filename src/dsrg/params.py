@@ -100,34 +100,48 @@ def verify_dsrg(a: BinMatrix) -> DsrgParams:
         if s != k:
             raise NotDsrg("column-sum", (j, j),
                           f"column {j} sums to {s}, expected {k}")
-    # A^2 from the rows and the columns already at hand
+    # A^2 from the rows and the columns already at hand; the class of (i, j)
+    # is "d" on the diagonal, else the bit of A ("1" adjacent, "0" not)
     sq = [[(r & c).bit_count() for c in cols] for r in a.rows]
+    labels = [row[:i] + "d" + row[i + 1:]
+              for i, row in enumerate(a.row_strings())]
+    first, cell = _first_inconstant(sq, labels)
     t = sq[0][0]
-    lam: int | None = None
-    mu: int | None = None
-    for i in range(n):
+    if cell is not None:
+        i, j = cell
+        # each row's diagonal entry is checked before the rest of the row
         if sq[i][i] != t:
             raise NotDsrg("t-constancy", (i, i),
                           f"diagonal of A^2 is {sq[i][i]} at {i}, {t} at 0")
-        row = a.rows[i]
-        for j in range(n):
-            if i == j:
-                continue
-            value = sq[i][j]
-            if (row >> j) & 1:
-                if lam is None:
-                    lam = value
-                elif value != lam:
-                    raise NotDsrg("lambda-constancy", (i, j),
-                                  f"adjacent pair has {value} paths, expected {lam}")
-            else:
-                if mu is None:
-                    mu = value
-                elif value != mu:
-                    raise NotDsrg("mu-constancy", (i, j),
-                                  f"non-adjacent pair has {value} paths, expected {mu}")
-    return DsrgParams(n, k, t, lam if lam is not None else 0,
-                      mu if mu is not None else 0)
+        if labels[i][j] == "1":
+            raise NotDsrg("lambda-constancy", (i, j),
+                          f"adjacent pair has {sq[i][j]} paths, "
+                          f"expected {first['1']}")
+        raise NotDsrg("mu-constancy", (i, j),
+                      f"non-adjacent pair has {sq[i][j]} paths, "
+                      f"expected {first['0']}")
+    return DsrgParams(n, k, t, first.get("1", 0), first.get("0", 0))
+
+
+def _first_inconstant(values, labels) -> tuple[dict, tuple[int, int] | None]:
+    """Check that values[i][j] is constant over each class labels[i][j].
+
+    Returns (first, cell): cell is the first (i, j), in row-major order,
+    whose value differs from the first value seen under its class, or None
+    when every class is constant; first maps each class to its first value
+    seen (before cell).  The common, constant case costs one set of
+    (class, value) pairs; only a failure is located cell by cell.
+    """
+    seen = set()
+    for label_row, value_row in zip(labels, values):
+        seen.update(zip(label_row, value_row))
+    if len({c for c, _ in seen}) < len(seen):
+        first: dict = {}
+        for i, (label_row, value_row) in enumerate(zip(labels, values)):
+            for j, (c, v) in enumerate(zip(label_row, value_row)):
+                if first.setdefault(c, v) != v:
+                    return first, (i, j)
+    return dict(seen), None
 
 
 def try_verify_dsrg(a: BinMatrix) -> DsrgParams | None:

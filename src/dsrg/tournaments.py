@@ -21,9 +21,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from . import iso
-from .matrix import (BinMatrix, PermSpec, _full_mask, block_compose,
-                     conjugate_by_perm, cycle_power, mat_mul_count)
+from .matrix import (BinMatrix, PermSpec, _full_mask, _indicator,
+                     block_compose, conjugate_by_perm, mat_mul_count,
+                     sigma_circulant)
 from .numth import is_prime, quadratic_residues
+from .params import _first_inconstant, try_verify_dsrg
 
 ENUMERATION_LIMIT = 11
 
@@ -89,27 +91,17 @@ def is_doubly_regular_tournament(t: Tournament) -> int | None:
 
     Returns lam when every out-neighborhood induces a regular tournament of
     the same valency lam (then the order is 4*lam + 3), None otherwise.
-    Requires a regular tournament.
+    Requires a regular tournament.  Then every pair has lam common
+    out-neighbours, which for a tournament (A^T = J - I - A) says
+    A^2 = lam*A + (lam+1)(J - I - A), a DSRG with t = 0; counting 3-cycles
+    shows that a regular tournament is a DSRG only with these parameters.
     """
     if not t.is_regular:
         raise ValueError("double regularity is defined for regular tournaments")
-    n = t.order
-    if n % 4 != 3:
+    if t.order % 4 != 3:
         return None
-    lam = (n - 3) // 4
-    rows = t.adj.rows
-    for x in range(n):
-        members = []
-        r = rows[x]
-        while r:
-            low = r & -r
-            members.append(low.bit_length() - 1)
-            r ^= low
-        for v in members:
-            degree = sum((rows[v] >> w) & 1 for w in members)
-            if degree != lam:
-                return None
-    return lam
+    params = try_verify_dsrg(t.adj)
+    return None if params is None else params.lam
 
 
 def as_doubly_regular(t: Tournament) -> Tournament:
@@ -142,11 +134,7 @@ def circulant_tournament(n: int, conn: Iterable[int]) -> Tournament:
                        if e not in conn_set and (n - e) not in conn_set)
         raise ValueError(
             f"connection set covers neither {missing} nor {(n - missing) % n}")
-    rows = [0] * n
-    for e in conn_set:
-        for i, r in enumerate(cycle_power(n, e).rows):
-            rows[i] |= r
-    return check_tournament(BinMatrix(n, tuple(rows)))
+    return check_tournament(sigma_circulant(n, _indicator(n, conn_set), 1))
 
 
 def paley_tournament(q: int) -> Tournament:
@@ -192,11 +180,7 @@ def cycle_sum_family(n: int, which: str, j: int | None = None) -> FamilyMatrix:
         exps = frozenset((j + i) % n for i in range(1, k + 1))
     else:
         raise ValueError(f"unknown family {which!r}; use odd, even, or run")
-    rows = [0] * n
-    for e in exps:
-        for i, r in enumerate(cycle_power(n, e).rows):
-            rows[i] |= r
-    matrix = BinMatrix(n, tuple(rows))
+    matrix = sigma_circulant(n, _indicator(n, exps), 1)
     try:
         check_tournament(matrix)
         valid = True
@@ -251,7 +235,8 @@ def is_doubly_regular_team(a: BinMatrix) -> TeamProfile | None:
     n = a.n
     if not a.has_zero_diagonal():
         raise ValueError("team tournaments have zero diagonal")
-    cols = a.transpose().rows
+    at = a.transpose()
+    cols = at.rows
     mask = _full_mask(n)
     for i in range(n):
         if a.rows[i] & cols[i]:
@@ -277,37 +262,19 @@ def is_doubly_regular_team(a: BinMatrix) -> TeamProfile | None:
     assert team_size is not None
     m = n // team_size
     k = (m - 1) * team_size // 2
-    if any(r.bit_count() != k for r in a.rows):
+    if any(r.bit_count() != k for r in a.rows + cols):
         return None
-    if any(c.bit_count() != k for c in cols):
+    # the class of (i, j): "d" on the diagonal, else the pair of bits
+    # (A, A^T): "10" adjacent, "01" reverse, "00" teammate
+    labels = [[x + y for x, y in zip(out, into)]
+              for out, into in zip(a.row_strings(), at.row_strings())]
+    for i, row in enumerate(labels):
+        row[i] = "d"
+    first, cell = _first_inconstant(mat_mul_count(a, a).entries, labels)
+    # the diagonal of A^2 is 0: there are no 2-cycles
+    if cell is not None or "10" not in first or "01" not in first:
         return None
-    sq = mat_mul_count(a, a).entries
-    alpha = beta = gamma = None
-    for i in range(n):
-        if sq[i][i] != 0:
-            return None
-        for j in range(n):
-            if i == j:
-                continue
-            value = sq[i][j]
-            if (a.rows[i] >> j) & 1:
-                if alpha is None:
-                    alpha = value
-                elif value != alpha:
-                    return None
-            elif (cols[i] >> j) & 1:
-                if beta is None:
-                    beta = value
-                elif value != beta:
-                    return None
-            else:
-                if gamma is None:
-                    gamma = value
-                elif value != gamma:
-                    return None
-    if alpha is None or beta is None:
-        return None
-    return TeamProfile(alpha, beta, gamma if gamma is not None else 0, k)
+    return TeamProfile(first["10"], first["01"], first.get("00", 0), k)
 
 
 def _code(rows: Sequence[int], verts: Sequence[int],
@@ -466,6 +433,5 @@ def enumerate_regular_tournaments(n: int,
             raise AssertionError(
                 f"canonical representative has valency {t.valency}, "
                 f"expected {k}")
-        lam = is_doubly_regular_tournament(t) if n % 4 == 3 else None
-        out.append(Tournament(mat, k, lam))
+        out.append(Tournament(mat, k, is_doubly_regular_tournament(t)))
     return out

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsrg import BinMatrix, read_adj, write_adj
+from dsrg import (BinMatrix, duval_feasible, enumerate_feasible, read_adj,
+                  write_adj)
 from dsrg.adjio import AdjFormatError, format_adj, parse_adj
 from dsrg.cli import (FEASIBLE_MAX_N, build_catalog, format_catalog, main,
                       read_catalog)
@@ -362,3 +363,30 @@ def test_construct_from_non_tournament_file_is_semantic_error(tmp_path):
                               "--tournament", f"adj:{path}")
     assert code == 1
     assert "direction" in stderr
+
+
+def test_catalog_entries_are_feasible_and_enumerated():
+    feasible = set(enumerate_feasible(48))
+    entries = build_catalog(48)
+    assert len(entries) == 74
+    for e in entries:
+        assert duval_feasible(e.params).feasible
+        assert e.params in feasible
+
+
+def test_closed_pipe_ends_quietly():
+    # feasible 200 prints about 120 kB, more than a pipe buffers, so the
+    # command is still writing when the reader closes its end
+    proc = subprocess.Popen([sys.executable, "-m", "dsrg", "feasible", "200"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert first == b"6 2 1 0 1\n"
+    assert code == 141
+    assert err == b""

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsrg import (BinMatrix, PermSpec, are_isomorphic, block_compose,
                   check_tournament, circulant_tournament, complement_graph,
@@ -286,3 +288,45 @@ def test_all_construction_outputs_verify_and_are_feasible():
     for r in results:
         assert verify_dsrg(r.adj) == r.params
         assert duval_feasible(r.params).feasible
+
+
+@st.composite
+def regular_circulant_tournaments(draw):
+    n = draw(st.sampled_from([3, 5, 7, 9, 11, 13]))
+    conn = {e if draw(st.booleans()) else n - e
+            for e in range(1, (n + 1) // 2)}
+    return circulant_tournament(n, conn)
+
+
+@settings(max_examples=60, deadline=None)
+@given(regular_circulant_tournaments(), st.integers(1, 3))
+def test_block_builders_give_the_paper_family(t, w):
+    # ((4k+2)w, 2kw, kw, (k-1)w, kw): lam + w = mu = t, and at w = 1 the
+    # paper's family lam + 1 = mu = t
+    k = t.valency
+    results = [cons.wide_blocks(t, w), cons.tall_blocks(t, w)]
+    if w == 1:
+        results += [cons.duval_b(t), cons.duval_c(t)]
+        assert results[0].adj == results[2].adj
+        assert results[1].adj == results[3].adj
+    for r in results:
+        p = verify_dsrg(r.adj)
+        assert p == r.params
+        assert p.as_tuple() == ((4 * k + 2) * w, 2 * k * w, k * w,
+                                (k - 1) * w, k * w)
+        assert p.lam + w == p.mu == p.t
+
+
+@settings(max_examples=30, deadline=None)
+@given(regular_circulant_tournaments(), st.integers(1, 6))
+def test_bordered_and_cycle_sum_builders_give_lambda_equal_mu(t, s):
+    # the paper's other family: lam = mu = t - 1
+    h = t.order
+    for r, expected in ((cons.bordered_team_dsrg(t),
+                         (4 * (h + 1), 2 * h + 1, h + 1, h, h)),
+                        (cons.cycle_sum_dsrg(s),
+                         (4 * (s + 1), 2 * s + 1, s + 1, s, s))):
+        p = verify_dsrg(r.adj)
+        assert p == r.params
+        assert p.as_tuple() == expected
+        assert p.lam == p.mu == p.t - 1

@@ -199,3 +199,14 @@ def test_cayley_dsrg_wrapper():
     assert r.params.as_tuple() == (6, 2, 1, 0, 1)
     with pytest.raises(ValueError, match="criteria"):
         cayley_dsrg(CayleySpec(cyclic_group(6), frozenset({1, 2})))
+
+
+@pytest.mark.parametrize("parity", ["even", "odd"])
+def test_hobart_shaw_is_the_dihedral_cayley_graph(parity):
+    for lam in range(2 if parity == "even" else 1, 11):
+        rotations, m = (lam - 1, 2 * lam) if parity == "even" else \
+            (lam, 2 * lam + 1)
+        conn = frozenset(range(1, rotations + 1)) | \
+            frozenset(range(m, m + rotations + 1))
+        assert hobart_shaw(lam, parity).adj == \
+            cayley_graph(CayleySpec(dihedral_group(m), conn))

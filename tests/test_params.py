@@ -307,3 +307,47 @@ def test_verify_dsrg_matches_dense_oracle():
     # every check is reached by some case
     assert outcomes == {"ok", "row-sum", "column-sum", "t-constancy",
                         "lambda-constancy", "mu-constancy"}
+
+
+@functools.lru_cache(maxsize=None)
+def _construction_outputs(max_n=30):
+    from dsrg.cli import all_construction_results
+    return [r.adj for r in all_construction_results(max_n)]
+
+
+@st.composite
+def verify_inputs(draw):
+    """A construction output up to order 30 with a few random switches, or
+    a random loopless digraph, half of them with constant out-degree."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(_construction_outputs()))
+        return _switched(base, rng, draw(st.integers(0, 4)))
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, n - 1))
+    regular = draw(st.booleans())
+    rows = []
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        row = rng.sample(others, k) if regular else \
+            [j for j in others if rng.random() < 0.5]
+        rows.append(sum(1 << j for j in row))
+    return BinMatrix(n, tuple(rows))
+
+
+def test_verify_dsrg_matches_dense_oracle_property():
+    outcomes = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(verify_inputs())
+    def check(a):
+        try:
+            got = ("ok", verify_dsrg(a).as_tuple())
+        except NotDsrg as exc:
+            got = ("NotDsrg", exc.constraint, exc.position, exc.detail)
+        assert got == dense_verify(a), a
+        outcomes.add(got[0] if got[0] == "ok" else got[1])
+
+    check()
+    assert outcomes == {"ok", "row-sum", "column-sum", "t-constancy",
+                        "lambda-constancy", "mu-constancy"}

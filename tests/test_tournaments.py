@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsrg import (BinMatrix, NotTournament, Tournament, are_isomorphic,
-                  block_compose, check_tournament, circulant_tournament,
-                  complement_graph, cycle_power, cycle_sum_family,
-                  enumerate_regular_tournaments, is_doubly_regular_team,
-                  is_doubly_regular_tournament, mat_mul_count,
-                  paley_tournament, team_from_drt, team_lem6, verify_dsrg)
+from dsrg import (BinMatrix, NotTournament, TeamProfile, Tournament,
+                  are_isomorphic, block_compose, check_tournament,
+                  circulant_tournament, complement_graph, cycle_power,
+                  cycle_sum_family, enumerate_regular_tournaments,
+                  is_doubly_regular_team, is_doubly_regular_tournament,
+                  mat_mul_count, paley_tournament, team_from_drt, team_lem6,
+                  verify_dsrg)
 
 
 def test_check_tournament_cycle():
@@ -331,3 +332,148 @@ def test_circulant_commutes_with_shift():
     from dsrg import PermSpec, conjugate_by_perm
     t = circulant_tournament(7, {1, 2, 3})
     assert conjugate_by_perm(t.adj, PermSpec.shift(7, 1)) == t.adj
+
+
+# -- the former double-regularity checks, kept verbatim as oracles ----------
+
+def _is_doubly_regular_tournament_oracle(t):
+    if not t.is_regular:
+        raise ValueError("double regularity is defined for regular tournaments")
+    n = t.order
+    if n % 4 != 3:
+        return None
+    lam = (n - 3) // 4
+    rows = t.adj.rows
+    for x in range(n):
+        members = []
+        r = rows[x]
+        while r:
+            low = r & -r
+            members.append(low.bit_length() - 1)
+            r ^= low
+        for v in members:
+            degree = sum((rows[v] >> w) & 1 for w in members)
+            if degree != lam:
+                return None
+    return lam
+
+
+def _is_doubly_regular_team_oracle(a):
+    n = a.n
+    if not a.has_zero_diagonal():
+        raise ValueError("team tournaments have zero diagonal")
+    cols = a.transpose().rows
+    mask = (1 << n) - 1
+    for i in range(n):
+        if a.rows[i] & cols[i]:
+            j = ((a.rows[i] & cols[i]) & -(a.rows[i] & cols[i])).bit_length() - 1
+            raise ValueError(f"arcs in both directions between {i} and {j}")
+    teammates = [~(a.rows[i] | cols[i]) & mask & ~(1 << i) for i in range(n)]
+    seen = [False] * n
+    team_size = None
+    for i in range(n):
+        if seen[i]:
+            continue
+        block = teammates[i] | (1 << i)
+        members = [v for v in range(n) if (block >> v) & 1]
+        for v in members:
+            if teammates[v] | (1 << v) != block:
+                raise ValueError(
+                    f"non-adjacency classes are not cliques (vertices {i}, {v})")
+            seen[v] = True
+        if team_size is None:
+            team_size = len(members)
+        elif team_size != len(members):
+            raise ValueError("non-adjacency cliques have unequal sizes")
+    assert team_size is not None
+    m = n // team_size
+    k = (m - 1) * team_size // 2
+    if any(r.bit_count() != k for r in a.rows):
+        return None
+    if any(c.bit_count() != k for c in cols):
+        return None
+    sq = mat_mul_count(a, a).entries
+    alpha = beta = gamma = None
+    for i in range(n):
+        if sq[i][i] != 0:
+            return None
+        for j in range(n):
+            if i == j:
+                continue
+            value = sq[i][j]
+            if (a.rows[i] >> j) & 1:
+                if alpha is None:
+                    alpha = value
+                elif value != alpha:
+                    return None
+            elif (cols[i] >> j) & 1:
+                if beta is None:
+                    beta = value
+                elif value != beta:
+                    return None
+            else:
+                if gamma is None:
+                    gamma = value
+                elif value != gamma:
+                    return None
+    if alpha is None or beta is None:
+        return None
+    return TeamProfile(alpha, beta, gamma if gamma is not None else 0, k)
+
+
+def _outcome(fn, arg):
+    try:
+        return fn(arg)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_double_regularity_matches_oracle_on_all_small_orders():
+    for n in range(1, 12, 2):
+        for t in canonical_classes(n).values():
+            assert is_doubly_regular_tournament(t) == \
+                _is_doubly_regular_tournament_oracle(t)
+    for q in (3, 7, 11, 19, 23):
+        t = paley_tournament(q)
+        plain = Tournament(t.adj, t.valency)
+        assert is_doubly_regular_tournament(plain) == \
+            _is_doubly_regular_tournament_oracle(plain) == (q - 3) // 4
+
+
+def _perturbed(a, rng, count):
+    """a with `count` random arcs changed: mostly reversed, sometimes
+    deleted or doubled into a 2-cycle."""
+    rows = list(a.rows)
+    for _ in range(count):
+        i = rng.randrange(a.n)
+        if rows[i]:
+            j = rng.choice([j for j in range(a.n) if rows[i] >> j & 1])
+            change = rng.choice(("reverse", "reverse", "delete", "double"))
+            if change != "double":
+                rows[i] ^= 1 << j
+            if change != "delete":
+                rows[j] |= 1 << i
+    return BinMatrix(a.n, tuple(rows))
+
+
+def test_team_profile_matches_oracle_on_layouts_and_perturbations():
+    import random
+    rng = random.Random(6)
+    tournaments = [t for n in (1, 3, 5, 7)
+                   for t in enumerate_regular_tournaments(n)]
+    tournaments += [paley_tournament(q) for q in (7, 11)]
+    layouts = [team_lem6(t) for t in tournaments]
+    layouts += [team_from_drt(t) for t in tournaments
+                if is_doubly_regular_tournament(t) is not None]
+    layouts += [t.adj for t in tournaments]
+    # an oriented complete multipartite graph that is not a team layout
+    layouts.append(BinMatrix.from_rows([[0, 0, 1, 1], [0, 0, 1, 1],
+                                        [0, 0, 0, 0], [0, 0, 0, 0]]))
+    profiles = set()
+    for a in layouts:
+        for b in [a] + [_perturbed(a, rng, rng.randint(1, 3))
+                        for _ in range(6)]:
+            expected = _outcome(_is_doubly_regular_team_oracle, b)
+            assert _outcome(is_doubly_regular_team, b) == expected, b
+            profiles.add(type(expected).__name__)
+    assert profiles == {"TeamProfile", "NoneType", "str"}
