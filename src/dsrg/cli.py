@@ -19,6 +19,7 @@ from typing import Sequence
 
 from . import constructions as cons
 from . import groups as grp
+from . import iso
 from .adjio import AdjFormatError, read_adj, write_adj
 from .iso import CERT_VERSION, BoundExceeded, canonical_form
 from .matrix import BinMatrix, PermSpec
@@ -196,8 +197,8 @@ def cmd_tournaments(args: argparse.Namespace) -> int:
     print(f"order={args.n} classes={len(reps)}")
     lines = []
     for t in reps:
-        cert = canonical_form(t.adj, max(args.bound, args.n))
-        lines.append(cert.cert_hash)
+        # t.adj is already canonical, and canonical_form is idempotent
+        lines.append(iso._cert_hash(t.adj))
         lines.extend(t.adj.row_strings())
         lines.append("")
     text = "\n".join(lines) + ("\n" if lines else "")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Sequence
 
-from .matrix import BinMatrix, PermSpec
+from .matrix import BinMatrix, PermSpec, conjugate_by_perm
 
 DEFAULT_BOUND = 48
 
@@ -169,27 +169,14 @@ def are_isomorphic(a: BinMatrix, b: BinMatrix,
     if refined is None:
         return None
 
-    rows_a, _ = ga
-    rows_b, _ = gb
     nodes_left = _MAPPING_SEARCH_BUDGET
 
     def verified(colors_a: list[int], colors_b: list[int]) -> PermSpec | None:
         by_color_b = [0] * n
         for v, c in enumerate(colors_b):
             by_color_b[c] = v
-        images = [0] * n
-        for v, c in enumerate(colors_a):
-            images[v] = by_color_b[c]
-        for i in range(n):
-            r = rows_a[i]
-            mapped = 0
-            while r:
-                low = r & -r
-                mapped |= 1 << images[low.bit_length() - 1]
-                r ^= low
-            if mapped != rows_b[images[i]]:
-                return None
-        return PermSpec(tuple(images))
+        witness = PermSpec(tuple(by_color_b[c] for c in colors_a))
+        return witness if conjugate_by_perm(a, witness) == b else None
 
     def search(colors_a: list[int], colors_b: list[int]) -> PermSpec | None:
         nonlocal nodes_left
@@ -223,16 +210,8 @@ def are_isomorphic(a: BinMatrix, b: BinMatrix,
     for pos in range(n):
         images[order_a[pos]] = order_b[pos]
     witness = PermSpec(tuple(images))
-    for i in range(n):
-        r = rows_a[i]
-        mapped = 0
-        while r:
-            low = r & -r
-            mapped |= 1 << images[low.bit_length() - 1]
-            r ^= low
-        if mapped != rows_b[images[i]]:
-            raise AssertionError(
-                f"equal canonical forms gave an invalid witness at row {i}")
+    if conjugate_by_perm(a, witness) != b:
+        raise AssertionError("equal canonical forms gave an invalid witness")
     return witness
 
 

@@ -221,9 +221,9 @@ def mat_mul_count(a: BinMatrix, b: BinMatrix) -> IntMatrix:
 
 def kronecker(a: BinMatrix, b: BinMatrix) -> BinMatrix:
     """Block-scaled product: block (i, j) of the result is b where a[i][j] = 1."""
-    zero = BinMatrix.zeros(b.n)
-    return block_compose([[b if ra >> j & 1 else zero for j in range(a.n)]
-                          for ra in a.rows])
+    shifts = [[j * b.n for j in range(a.n) if ra >> j & 1] for ra in a.rows]
+    return BinMatrix(a.n * b.n, tuple(sum(rb << s for s in row_shifts)
+                                      for row_shifts in shifts for rb in b.rows))
 
 
 def cycle_power(n: int, e: int) -> BinMatrix:

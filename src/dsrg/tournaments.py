@@ -11,7 +11,8 @@ regular tournaments up to isomorphism at small orders (through order 11 by
 default).  The enumeration fixes vertex 0's out- and in-neighbourhoods to
 one representative per class of half-order tournaments and fills in the
 cross arcs between them up to the representatives' automorphisms, so it
-yields few more candidates than there are classes.
+yields few more candidates than there are classes, which are then keyed
+by canonical form.
 """
 
 from __future__ import annotations
@@ -387,11 +388,6 @@ def _neighbourhood_candidates(n: int) -> Iterator[tuple[int, ...]]:
                     yield rows
 
 
-def _path2_invariant(m: BinMatrix) -> tuple:
-    sq = mat_mul_count(m, m).entries
-    return tuple(sorted(tuple(sorted(row)) for row in sq))
-
-
 def enumerate_regular_tournaments(n: int,
                                   limit: int = ENUMERATION_LIMIT
                                   ) -> list[Tournament]:
@@ -401,11 +397,10 @@ def enumerate_regular_tournaments(n: int,
     Exhaustive: labeled candidates are generated from vertex 0's out- and
     in-neighbourhoods with isomorph rejection (see
     ``_neighbourhood_candidates``; 20 candidates for the 15 classes of order
-    9, 1,366 for the 1,223 of order 11) and deduplicated against class
-    representatives; the output carries each class's canonical matrix,
-    sorted, so repeated runs are identical.  Orders above ``limit`` are
-    refused (order 13 has 1,495,297 classes); pass a larger limit
-    explicitly to override.
+    9, 1,366 for the 1,223 of order 11) and keyed by canonical form; the
+    output carries each class's canonical matrix, sorted, so repeated runs
+    are identical.  Orders above ``limit`` are refused (order 13 has
+    1,495,297 classes); pass a larger limit explicitly to override.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"regular tournaments have positive odd order, got {n}")
@@ -416,22 +411,16 @@ def enumerate_regular_tournaments(n: int,
     if n == 1:
         return [Tournament(BinMatrix.zeros(1), 0)]
     k = (n - 1) // 2
-    buckets: dict[tuple, list[BinMatrix]] = {}
+    classes: dict[tuple[int, ...], BinMatrix] = {}
     for rows in _neighbourhood_candidates(n):
-        candidate = BinMatrix(n, rows)
-        key = _path2_invariant(candidate)
-        reps = buckets.setdefault(key, [])
-        if not any(iso.are_isomorphic(candidate, rep) for rep in reps):
-            reps.append(candidate)
-    canonical = [iso.canonical_form(rep).canonical
-                 for reps in buckets.values() for rep in reps]
-    canonical.sort(key=lambda m: m.rows)
+        canonical = iso.canonical_form(BinMatrix(n, rows)).canonical
+        classes.setdefault(canonical.rows, canonical)
     out = []
-    for mat in canonical:
-        t = check_tournament(mat)
+    for key in sorted(classes):
+        t = check_tournament(classes[key])
         if t.valency != k:
             raise AssertionError(
                 f"canonical representative has valency {t.valency}, "
                 f"expected {k}")
-        out.append(Tournament(mat, k, is_doubly_regular_tournament(t)))
+        out.append(Tournament(t.adj, k, is_doubly_regular_tournament(t)))
     return out

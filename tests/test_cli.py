@@ -356,6 +356,14 @@ def test_tournaments_order_9_golden_digest():
         "4c8fc49acc78023e96dc8d5fe5c54395f9b93b74983c2a5808afb3bd7a510eae"
 
 
+def test_tournaments_order_11_golden_digest():
+    # pins the 1,223 canonical matrices, their order and certificate hashes
+    code, stdout, _ = run_cli("tournaments", "--n", "11")
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == \
+        "fcd4dea6f3758b324c116a6b56973c47d70f223ab6cd76b701e843383959ee89"
+
+
 def test_construct_from_non_tournament_file_is_semantic_error(tmp_path):
     path = tmp_path / "not_tournament.adj"
     write_adj(FIXTURE_8, path)  # a DSRG, but not a tournament

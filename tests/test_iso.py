@@ -347,8 +347,9 @@ def test_canonical_form_exhaustive_on_tiny_blow_ups():
 @given(twin_heavy, st.data())
 def test_canonical_form_relabeling_invariant_with_twins(a, data):
     p = PermSpec(tuple(data.draw(st.permutations(range(a.n)))))
-    assert canonical_form(a).canonical == \
-        canonical_form(conjugate_by_perm(a, p)).canonical
+    cert = canonical_form(a)
+    assert cert.canonical == canonical_form(conjugate_by_perm(a, p)).canonical
+    assert canonical_form(cert.canonical).canonical == cert.canonical
 
 
 @settings(max_examples=80, deadline=None)
@@ -521,8 +522,9 @@ twin_free = st.one_of(random_digraphs(), circulant_digraphs(),
 @given(twin_free, st.data())
 def test_canonical_form_relabeling_invariant_twin_free(a, data):
     p = PermSpec(tuple(data.draw(st.permutations(range(a.n)))))
-    assert canonical_form(a).canonical == \
-        canonical_form(conjugate_by_perm(a, p)).canonical
+    cert = canonical_form(a)
+    assert cert.canonical == canonical_form(conjugate_by_perm(a, p)).canonical
+    assert canonical_form(cert.canonical).canonical == cert.canonical
 
 
 @settings(max_examples=80, deadline=None)

@@ -223,9 +223,10 @@ def test_enumeration_counts_against_naive_oracle(n, expected_classes):
     assert union == set(labeled), "orbits do not cover the labeled count"
 
 
-def test_enumeration_deterministic_and_canonical():
-    first = enumerate_regular_tournaments(7)
-    second = enumerate_regular_tournaments(7)
+@pytest.mark.parametrize("n", [7, 9])
+def test_enumeration_deterministic_and_canonical(n):
+    first = enumerate_regular_tournaments(n)
+    second = enumerate_regular_tournaments(n)
     assert [t.adj for t in first] == [t.adj for t in second]
     from dsrg import canonical_form
     for t in first:
