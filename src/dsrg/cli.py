@@ -29,7 +29,6 @@ from .tournaments import (ENUMERATION_LIMIT, NotTournament, Tournament,
                           check_tournament, circulant_tournament,
                           enumerate_regular_tournaments, paley_tournament)
 
-CATALOG_MAX_N = 48
 # dsrg feasible 1000 takes about a minute (62-67 s on a 2-vCPU x86-64 host,
 # Python 3.11); the scan grows roughly as max_n^3
 FEASIBLE_MAX_N = 1000
@@ -95,6 +94,13 @@ def _first_qr(q: int) -> cons.ConstructionResult:
     return cons.qr_dsrg(q, *triple)
 
 
+def _int_set(text: str, what: str) -> frozenset[int]:
+    try:
+        return frozenset(int(x) for x in text.split(","))
+    except ValueError as exc:
+        raise InputError(f"bad {what} {text!r}") from exc
+
+
 def _construct(args: argparse.Namespace) -> cons.ConstructionResult:
     method = args.method
     if method in ("duval-b", "duval-c", "m", "lem5", "lem6"):
@@ -118,10 +124,14 @@ def _construct(args: argparse.Namespace) -> cons.ConstructionResult:
     if method == "qr":
         if args.q is None:
             raise InputError("qr needs --q")
-        if args.sigma1 is not None and args.sigma2 is not None and args.s_set:
-            s_set = frozenset(int(x) for x in args.s_set.split(","))
-            return cons.qr_dsrg(args.q, args.sigma1, args.sigma2, s_set)
-        return _first_qr(args.q)
+        triple = (args.sigma1, args.sigma2, args.s_set)
+        if triple == (None, None, None):
+            return _first_qr(args.q)
+        if None in triple:
+            raise InputError("qr needs all of --sigma1, --sigma2 and --s-set "
+                             "or none of them")
+        return cons.qr_dsrg(args.q, args.sigma1, args.sigma2,
+                            _int_set(args.s_set, "--s-set residues"))
     if method == "pq":
         if not args.tournament:
             raise InputError("pq needs --tournament")
@@ -137,10 +147,7 @@ def _construct(args: argparse.Namespace) -> cons.ConstructionResult:
         if not args.group or not args.conn:
             raise InputError("cayley needs --group and --conn")
         group = parse_group(args.group)
-        try:
-            conn = frozenset(int(x) for x in args.conn.split(","))
-        except ValueError as exc:
-            raise InputError(f"bad connection set {args.conn!r}") from exc
+        conn = _int_set(args.conn, "connection set")
         return grp.cayley_dsrg(grp.CayleySpec(group, conn),
                                f"{args.group},S={{{args.conn}}}")
     if method == "hobart-shaw":
@@ -179,16 +186,8 @@ def cmd_feasible(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     mats = [read_adj(path) for path in args.paths]
-    certs = [canonical_form(m, args.bound) for m in mats]
-    groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    hashes: dict[tuple[int, tuple[int, ...]], str] = {}
-    for idx, cert in enumerate(certs):
-        key = (cert.order, cert.canonical.rows)
-        groups.setdefault(key, []).append(idx)
-        hashes[key] = cert.cert_hash
-    for key in sorted(groups):
-        members = " ".join(str(args.paths[i]) for i in groups[key])
-        print(f"{hashes[key]}: {members}")
+    for cert, members in iso.classify(mats, args.bound):
+        print(f"{cert.cert_hash}: {' '.join(args.paths[i] for i in members)}")
     return 0
 
 
@@ -329,19 +328,20 @@ def all_construction_results(max_n: int,
     return [r for r in results if r.params.n <= max_n]
 
 
-def build_catalog(max_n: int, bound: int = CATALOG_MAX_N,
+def build_catalog(max_n: int,
                   failures: list[str] | None = None) -> list[CatalogEntry]:
-    """All construction results up to max_n vertices, deduplicated by
-    certificate hash and sorted for byte-identical repeated runs."""
-    entries: dict[str, CatalogEntry] = {}
-    results = all_construction_results(max_n, failures)
-    for r in sorted(results, key=lambda r: (r.params.as_tuple(), r.method,
-                                            r.input_descriptor)):
-        cert = canonical_form(r.adj, max(bound, r.params.n))
-        if cert.cert_hash not in entries:
-            entries[cert.cert_hash] = CatalogEntry(
-                r.method, r.input_descriptor, r.params, cert.cert_hash, r.adj)
-    return list(entries.values())  # inserted in sorted order
+    """All construction results up to max_n vertices, one per isomorphism
+    class: the first of each class in a fixed sort, kept in that order for
+    byte-identical repeated runs."""
+    results = sorted(all_construction_results(max_n, failures),
+                     key=lambda r: (r.params.as_tuple(), r.method,
+                                    r.input_descriptor))
+    # every result has at most max_n vertices, so that bound never refuses
+    firsts = sorted((members[0], cert.cert_hash) for cert, members
+                    in iso.classify((r.adj for r in results), max_n))
+    return [CatalogEntry(results[i].method, results[i].input_descriptor,
+                         results[i].params, cert_hash, results[i].adj)
+            for i, cert_hash in firsts]
 
 
 def format_catalog(entries: Sequence[CatalogEntry]) -> str:
@@ -377,7 +377,7 @@ def read_catalog(path: str | Path) -> list[CatalogEntry]:
         expected = DsrgParams(int(n), int(k), int(t), int(lam), int(mu))
         if params != expected:
             raise ValueError(f"catalog entry {block[0]!r} re-verifies as {params}")
-        recomputed = canonical_form(adj, max(CATALOG_MAX_N, adj.n)).cert_hash
+        recomputed = canonical_form(adj, adj.n).cert_hash
         if recomputed != cert_hash:
             raise ValueError(
                 f"catalog entry {block[0]!r} hash mismatch; catalogs written "
@@ -388,11 +388,11 @@ def read_catalog(path: str | Path) -> list[CatalogEntry]:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    if args.max_n > max(CATALOG_MAX_N, args.bound):
-        raise InputError(f"max_n {args.max_n} exceeds the catalog cap "
-                         f"{max(CATALOG_MAX_N, args.bound)}")
+    cap = max(iso.DEFAULT_BOUND, args.bound)
+    if args.max_n > cap:
+        raise InputError(f"max_n {args.max_n} exceeds the catalog cap {cap}")
     failures: list[str] = []
-    entries = build_catalog(args.max_n, args.bound, failures)
+    entries = build_catalog(args.max_n, failures)
     if args.output:
         Path(args.output).write_text(format_catalog(entries), encoding="ascii")
     by_params = Counter(e.params.as_tuple() for e in entries)
@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dsrg",
         description="Construct, verify, enumerate, and classify directed "
                     "strongly regular graphs.")
-    parser.add_argument("--bound", type=int, default=48,
+    parser.add_argument("--bound", type=int, default=iso.DEFAULT_BOUND,
                         help="order bound for isomorphism computations")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -28,20 +28,6 @@ from .params import DsrgParams, try_verify_dsrg, verify_dsrg
 from .tournaments import (Tournament, as_doubly_regular, team_from_drt,
                           team_lem6)
 
-METHOD_DUVAL_B = "duval_B"
-METHOD_DUVAL_C = "duval_C"
-METHOD_M = "m_of"
-METHOD_WIDE = "wide"
-METHOD_TALL = "tall"
-METHOD_TEAM = "lem5"
-METHOD_BORDERED = "lem6"
-METHOD_CYCLE_SUM = "lem7"
-METHOD_QR = "qr"
-METHOD_PQ = "pq"
-METHOD_KRON = "kron"
-METHOD_CAYLEY = "cayley"
-METHOD_HOBART_SHAW = "hobart_shaw"
-
 
 @dataclass(frozen=True)
 class ConstructionResult:
@@ -93,14 +79,14 @@ def _alternating(t: Tournament, w: int, by_row: bool, method: str,
 
 def duval_b(t: Tournament, label: str | None = None) -> ConstructionResult:
     """Paired-rows block matrix [[A, A^T], [A, A^T]]: (4k+2, 2k, k, k-1, k)."""
-    return _alternating(t, 1, False, METHOD_DUVAL_B,
+    return _alternating(t, 1, False, "duval_B",
                         "the paired-rows construction",
                         _tournament_label(t, label))
 
 
 def duval_c(t: Tournament, label: str | None = None) -> ConstructionResult:
     """Paired-columns block matrix [[A, A], [A^T, A^T]]: (4k+2, 2k, k, k-1, k)."""
-    return _alternating(t, 1, True, METHOD_DUVAL_C,
+    return _alternating(t, 1, True, "duval_C",
                         "the paired-columns construction",
                         _tournament_label(t, label))
 
@@ -121,7 +107,7 @@ def m_construction(t: Tournament, label: str | None = None) -> ConstructionResul
     the two blocks.
     """
     a, k = _regular(t, "the m construction", min_valency=1)
-    return _result(METHOD_M, _tournament_label(t, label), m_of(a),
+    return _result("m_of", _tournament_label(t, label), m_of(a),
                    (4 * k + 2, 2 * k + 1, k + 1, k, k + 1))
 
 
@@ -132,7 +118,7 @@ def wide_blocks(t: Tournament, w: int,
     Parameters ((4k+2)w, 2kw, kw, (k-1)w, kw); w = 1 reproduces the
     paired-rows matrix exactly.
     """
-    return _alternating(t, w, False, METHOD_WIDE,
+    return _alternating(t, w, False, "wide",
                         "the wide-blocks construction",
                         _tournament_label(t, label) + f",w={w}")
 
@@ -140,7 +126,7 @@ def wide_blocks(t: Tournament, w: int,
 def tall_blocks(t: Tournament, w: int,
                 label: str | None = None) -> ConstructionResult:
     """Transposed pattern of wide_blocks: 2w block-rows alternating A, A^T."""
-    return _alternating(t, w, True, METHOD_TALL,
+    return _alternating(t, w, True, "tall",
                         "the tall-blocks construction",
                         _tournament_label(t, label) + f",w={w}")
 
@@ -156,7 +142,7 @@ def team_dsrg(t: Tournament, label: str | None = None) -> ConstructionResult:
     assert lam is not None
     adj = m_of(team_from_drt(t))
     m = 4 * lam + 4
-    return _result(METHOD_TEAM, _tournament_label(t, label), adj,
+    return _result("lem5", _tournament_label(t, label), adj,
                    (4 * m, 2 * m - 1, m, m - 1, m - 1))
 
 
@@ -167,7 +153,7 @@ def bordered_team_dsrg(t: Tournament,
     _regular(t, "the bordered-team construction")
     h = t.order
     adj = m_of(team_lem6(t))
-    return _result(METHOD_BORDERED, _tournament_label(t, label), adj,
+    return _result("lem6", _tournament_label(t, label), adj,
                    (4 * (h + 1), 2 * h + 1, h + 1, h, h))
 
 
@@ -183,7 +169,7 @@ def cycle_sum_dsrg(s: int) -> ConstructionResult:
     """m_of over the cycle-power sum on 2s+2 vertices:
     (4(s+1), 2s+1, s+1, s, s)."""
     adj = m_of(cycle_sum_matrix(s))
-    return _result(METHOD_CYCLE_SUM, f"s={s}", adj,
+    return _result("lem7", f"s={s}", adj,
                    (4 * (s + 1), 2 * s + 1, s + 1, s, s))
 
 
@@ -247,7 +233,7 @@ def qr_dsrg(q: int, sigma1: int, sigma2: int,
         adj = block_compose([[qmat, c1], [c2, qmat]])
         params = try_verify_dsrg(adj)
         if params is not None and params.as_tuple() == expected:
-            return ConstructionResult(METHOD_QR, desc, adj, params)
+            return ConstructionResult("qr", desc, adj, params)
     raise ValueError(f"no sigma1-circulant completes the construction for {desc}")
 
 
@@ -313,7 +299,7 @@ def pq_dsrg(qmat: Tournament, p: PermSpec,
     adj = block_compose([[a, pq], [pqt, a]])
     desc = label if label is not None else \
         f"tournament(n={a.n}),p={','.join(map(str, p.images))}"
-    return _result(METHOD_PQ, desc, adj,
+    return _result("pq", desc, adj,
                    (2 * (2 * mu + 1), 2 * mu, mu, mu - 1, mu))
 
 
@@ -382,5 +368,5 @@ def kronecker_expand(a: BinMatrix, m: int, side: str = "right",
     adj = kronecker(a, block) if side == "right" else kronecker(block, a)
     desc = (label if label is not None else f"graph(n={a.n})") + f",m={m},{side}"
     n, k, t, lam, mu = params.as_tuple()
-    return _result(METHOD_KRON, desc, adj,
+    return _result("kron", desc, adj,
                    (n * m, k * m, t * m, lam * m, mu * m))

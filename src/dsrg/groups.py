@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .constructions import METHOD_CAYLEY, METHOD_HOBART_SHAW, ConstructionResult
+from .constructions import ConstructionResult
 from .iso import BoundExceeded
 from .matrix import BinMatrix, _indicator, block_compose, sigma_circulant
 from .params import DsrgParams, _first_inconstant, try_verify_dsrg
@@ -250,7 +250,7 @@ def cayley_dsrg(spec: CayleySpec, label: str | None = None) -> ConstructionResul
         raise ValueError("the connection set does not satisfy the product criteria")
     names = ",".join(spec.group.names[s] for s in sorted(spec.conn))
     desc = label if label is not None else f"order={spec.group.order},S={{{names}}}"
-    return ConstructionResult(METHOD_CAYLEY, desc, adj, params)
+    return ConstructionResult("cayley", desc, adj, params)
 
 
 def hobart_shaw(lam: int, parity: str) -> ConstructionResult:
@@ -294,7 +294,7 @@ def hobart_shaw(lam: int, parity: str) -> ConstructionResult:
     if params is None or params.as_tuple() != expected:
         raise AssertionError(f"dihedral subset verified as {params}, "
                              f"expected {expected}")
-    return ConstructionResult(METHOD_HOBART_SHAW, f"lam={lam},{parity}",
+    return ConstructionResult("hobart_shaw", f"lam={lam},{parity}",
                               adj, params)
 
 

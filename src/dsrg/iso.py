@@ -29,7 +29,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .matrix import BinMatrix, PermSpec, conjugate_by_perm
 
@@ -419,29 +419,30 @@ def canonical_form(a: BinMatrix, bound: int = DEFAULT_BOUND) -> IsoCertificate:
     return IsoCertificate(canonical, _cert_hash(canonical), a.n)
 
 
-def classify(graphs: Sequence[BinMatrix],
-             bound: int = DEFAULT_BOUND) -> list[list[int]]:
+def classify(graphs: Iterable[BinMatrix], bound: int = DEFAULT_BOUND
+             ) -> list[tuple[IsoCertificate, list[int]]]:
     """Partition input indices into isomorphism classes.
 
+    Each class comes with its certificate, which every member shares.
     Graphs of different orders are trivially in distinct classes.  Classes
     are ordered by (order, canonical matrix); members keep input order.
     """
-    certs = [canonical_form(g, bound) for g in graphs]
-    groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    for idx, cert in enumerate(certs):
-        groups.setdefault((cert.order, cert.canonical.rows), []).append(idx)
-    return [groups[key] for key in sorted(groups)]
+    classes: dict[tuple[int, tuple[int, ...]],
+                  tuple[IsoCertificate, list[int]]] = {}
+    for idx, g in enumerate(graphs):
+        cert = canonical_form(g, bound)
+        key = (cert.order, cert.canonical.rows)
+        classes.setdefault(key, (cert, []))[1].append(idx)
+    return [classes[key] for key in sorted(classes)]
 
 
-def find_commuting_transposer(a: BinMatrix,
-                              bound: int = DEFAULT_BOUND) -> PermSpec | None:
+def find_commuting_transposer(a: BinMatrix) -> PermSpec | None:
     """Permutation p whose matrix P satisfies P*A = A^T = A*P, if any.
 
     P*A = A^T pins row p(i) of A to column i of A, so column i takes the
     first unused row equal to it; the two-sided condition is then verified
-    exactly.
+    exactly.  A greedy O(n^2) pass with no search, so no order bound.
     """
-    _check_bound(a.n, bound)
     n = a.n
     rows = a.rows
     cols = a.transpose().rows

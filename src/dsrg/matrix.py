@@ -13,7 +13,7 @@ matrices can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 
 class DimensionError(ValueError):
@@ -257,79 +257,17 @@ def sigma_circulant(n: int, first_row: Sequence[int], sigma: int) -> BinMatrix:
     return BinMatrix(n, tuple(rows))
 
 
-Block = Union[BinMatrix, int, Sequence[Sequence[int]]]
-
-
-def _block_shape(cell: Block) -> tuple[int, int] | None:
-    if isinstance(cell, BinMatrix):
-        return cell.n, cell.n
-    if isinstance(cell, int):
-        if cell not in (0, 1):
-            raise ValueError(f"constant block must be 0 or 1, got {cell}")
-        return None
-    heights = len(cell)
-    if heights == 0:
-        raise DimensionError("empty block")
-    width = len(cell[0])
-    for row in cell:
-        if len(row) != width:
-            raise DimensionError("ragged block")
-    return heights, width
-
-
-def _block_row_bits(cell: Block, local_row: int, width: int) -> int:
-    if isinstance(cell, BinMatrix):
-        return cell.rows[local_row]
-    if isinstance(cell, int):
-        return _full_mask(width) if cell else 0
-    return _pack_row(cell[local_row])
-
-
-def block_compose(layout: Sequence[Sequence[Block]]) -> BinMatrix:
-    """Assemble a square matrix from a grid of blocks.
-
-    Cells may be BinMatrix values, rectangular 0/1 row lists, or the
-    constants 0/1 (filled to the size inferred from their grid row and
-    column).  Blocks in one grid row must share a row count and blocks in
-    one grid column a column count; the assembled matrix must be square.
-    """
-    if not layout or any(len(row) != len(layout[0]) for row in layout):
-        raise DimensionError("ragged layout grid")
-    grid_rows = len(layout)
-    grid_cols = len(layout[0])
-    heights: list[int | None] = [None] * grid_rows
-    widths: list[int | None] = [None] * grid_cols
-    for gi in range(grid_rows):
-        for gj in range(grid_cols):
-            shape = _block_shape(layout[gi][gj])
-            if shape is None:
-                continue
-            h, w = shape
-            if heights[gi] is None:
-                heights[gi] = h
-            elif heights[gi] != h:
-                raise DimensionError(f"grid row {gi}: block heights {heights[gi]} vs {h}")
-            if widths[gj] is None:
-                widths[gj] = w
-            elif widths[gj] != w:
-                raise DimensionError(f"grid column {gj}: block widths {widths[gj]} vs {w}")
-    if any(h is None for h in heights) or any(w is None for w in widths):
-        raise DimensionError("constant blocks leave a row or column size undetermined")
-    total_rows = sum(heights)  # type: ignore[arg-type]
-    total_cols = sum(widths)  # type: ignore[arg-type]
-    if total_rows != total_cols:
-        raise DimensionError(f"assembled matrix is {total_rows}x{total_cols}, not square")
-    col_offsets = [0] * grid_cols
-    for gj in range(1, grid_cols):
-        col_offsets[gj] = col_offsets[gj - 1] + widths[gj - 1]  # type: ignore[operator]
-    rows: list[int] = []
-    for gi in range(grid_rows):
-        for local in range(heights[gi]):  # type: ignore[arg-type]
-            value = 0
-            for gj in range(grid_cols):
-                value |= _block_row_bits(layout[gi][gj], local, widths[gj]) << col_offsets[gj]  # type: ignore[arg-type]
-            rows.append(value)
-    return BinMatrix(total_rows, tuple(rows))
+def block_compose(layout: Sequence[Sequence[BinMatrix]]) -> BinMatrix:
+    """Assemble a square grid of blocks, all of one order, into one matrix."""
+    g = len(layout)
+    m = layout[0][0].n if g and layout[0] else 0
+    if any(len(row) != g for row in layout):
+        raise DimensionError("block grid is not square")
+    if any(block.n != m for row in layout for block in row):
+        raise DimensionError(f"blocks differ in order from {m}")
+    return BinMatrix(g * m, tuple(
+        sum(block.rows[i] << j * m for j, block in enumerate(row))
+        for row in layout for i in range(m)))
 
 
 def conjugate_by_perm(a: BinMatrix, p: PermSpec) -> BinMatrix:

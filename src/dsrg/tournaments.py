@@ -23,8 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import iso
 from .matrix import (BinMatrix, PermSpec, _full_mask, _indicator,
-                     block_compose, conjugate_by_perm, mat_mul_count,
-                     sigma_circulant)
+                     conjugate_by_perm, mat_mul_count, sigma_circulant)
 from .numth import is_prime, quadratic_residues
 from .params import _first_inconstant, try_verify_dsrg
 
@@ -121,9 +120,10 @@ def circulant_tournament(n: int, conn: Iterable[int]) -> Tournament:
     conn must pick exactly one of {e, -e} for every nonzero residue pair,
     which forces n odd; the result is regular of valency |conn|.
     """
+    if n < 1 or n % 2 == 0:
+        raise ValueError(
+            f"circulant tournaments need positive odd order, got {n}")
     conn_set = {e % n for e in conn}
-    if n % 2 == 0:
-        raise ValueError(f"circulant tournaments need odd order, got {n}")
     if 0 in conn_set:
         raise ValueError("residue 0 is not allowed in a connection set")
     for e in sorted(conn_set):
@@ -192,18 +192,16 @@ def cycle_sum_family(n: int, which: str, j: int | None = None) -> FamilyMatrix:
 
 def _bordered_team_layout(a: BinMatrix) -> BinMatrix:
     """Two bordered copies of a tournament: the doubly regular two-team layout."""
+    # block rows [0 1 0 0], [0 A 1 A^T], [0 0 0 1], [1 A^T 0 A] over
+    # column blocks of widths 1, h, 1, h
     h = a.n
-    at = a.transpose()
-    ones_row = [[1] * h]
-    zeros_row = [[0] * h]
-    ones_col = [[1]] * h
-    zeros_col = [[0]] * h
-    return block_compose([
-        [0, ones_row, 0, zeros_row],
-        [zeros_col, a, ones_col, at],
-        [0, zeros_row, 0, ones_row],
-        [ones_col, at, zeros_col, a],
-    ])
+    ones = _full_mask(h)
+    pairs = list(zip(a.rows, a.transpose().rows))
+    return BinMatrix(2 * h + 2, (
+        ones << 1,
+        *(r << 1 | 1 << h + 1 | c << h + 2 for r, c in pairs),
+        ones << h + 2,
+        *(1 | c << 1 | r << h + 2 for r, c in pairs)))
 
 
 def team_from_drt(t: Tournament) -> BinMatrix:
@@ -397,10 +395,11 @@ def enumerate_regular_tournaments(n: int,
     Exhaustive: labeled candidates are generated from vertex 0's out- and
     in-neighbourhoods with isomorph rejection (see
     ``_neighbourhood_candidates``; 20 candidates for the 15 classes of order
-    9, 1,366 for the 1,223 of order 11) and keyed by canonical form; the
-    output carries each class's canonical matrix, sorted, so repeated runs
-    are identical.  Orders above ``limit`` are refused (order 13 has
-    1,495,297 classes); pass a larger limit explicitly to override.
+    9, 1,366 for the 1,223 of order 11) and grouped by canonical form
+    through ``iso.classify``; the output carries each class's canonical
+    matrix, sorted, so repeated runs are identical.  Orders above
+    ``limit`` are refused (order 13 has 1,495,297 classes); pass a larger
+    limit explicitly to override.
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"regular tournaments have positive odd order, got {n}")
@@ -411,13 +410,10 @@ def enumerate_regular_tournaments(n: int,
     if n == 1:
         return [Tournament(BinMatrix.zeros(1), 0)]
     k = (n - 1) // 2
-    classes: dict[tuple[int, ...], BinMatrix] = {}
-    for rows in _neighbourhood_candidates(n):
-        canonical = iso.canonical_form(BinMatrix(n, rows)).canonical
-        classes.setdefault(canonical.rows, canonical)
     out = []
-    for key in sorted(classes):
-        t = check_tournament(classes[key])
+    for cert, _ in iso.classify(BinMatrix(n, rows)
+                                for rows in _neighbourhood_candidates(n)):
+        t = check_tournament(cert.canonical)
         if t.valency != k:
             raise AssertionError(
                 f"canonical representative has valency {t.valency}, "

@@ -98,6 +98,102 @@ def test_construct_paired_rows(tmp_path):
     assert stdout.strip() == "10 4 2 1 2"
 
 
+# stdout and the sha256 of the -o file, one call per method (two for qr:
+# its first triple and an explicit one)
+CONSTRUCT_PINS = [
+    (["duval-b", "--tournament", "circulant:5:1,2"], "10 4 2 1 2",
+     "91d41a9b987136f4a7935900a4cf000780e559843c02f3c3b0c2f7514bae2093"),
+    (["duval-c", "--tournament", "standard:7"], "14 6 3 2 3",
+     "59a4901de738750316f244ff28b54c159d4e36e684d6ee49420bbc90ce6ed914"),
+    (["m", "--tournament", "paley:7"], "14 7 4 3 4",
+     "d48f13f44481370addf66876c9d87412a531be8daadb404e2a0a941b1c9638c4"),
+    (["wide", "--tournament", "standard:5", "--w", "2"], "20 8 4 2 4",
+     "1e7ea86379bfe3fc6741813274dbeb234782aac8f8c5979de0ce55dfecb22966"),
+    (["tall", "--tournament", "circulant:7:1,2,4", "--w", "2"], "28 12 6 4 6",
+     "abe25285cdd1a2083d58bcee740418720bb4b5f976eb95e7064ecc1902152c69"),
+    (["lem5", "--tournament", "paley:7"], "32 15 8 7 7",
+     "76540a4fc99c5a9c0fbb6fb55c688802935f6dc63a8074ab0f1b4024c789411e"),
+    (["lem6", "--tournament", "standard:5"], "24 11 6 5 5",
+     "761c235d99f8a3d48805b9dd70308290370e575f86b6e53da96a7fca7d5b19c7"),
+    (["lem7", "--s", "3"], "16 7 4 3 3",
+     "91aafa6674e1de541f379abebc080deec2aceb431b821aa246a9e4f998617f8a"),
+    (["qr", "--q", "13"], "26 12 6 5 6",
+     "2e2d844cd9970a7a58c0ea79a33624d696fc2dcea740cb3bb2309cc744d984f9"),
+    (["qr", "--q", "5", "--sigma1", "2", "--sigma2", "3", "--s-set", "1,4"],
+     "10 4 2 1 2",
+     "d9e4d8d90200f6602ddef4d5126c0dbe022cd5a68ea17cdc93e8eb8a09893735"),
+    (["pq", "--tournament", "standard:7", "--perm", "0,6,5,4,3,2,1"],
+     "14 6 3 2 3",
+     "227205d85faf4c9dd86c6b8e260f37f685fc7543c138a10750820fc55578e58c"),
+    (["kron", "--input", "{base}", "--m", "3", "--side", "left"],
+     "30 12 6 3 6",
+     "5d9f1df89e04b6ab1bc078606ff09ae29fa7bfb6714686db144640634170f52c"),
+    (["cayley", "--group", "symmetric:3", "--conn", "2,3"], "6 2 1 0 1",
+     "87f3377b0709fdd4188e877f70e9858413d00ebc3aedd98d3bcca48adf918d3b"),
+    (["hobart-shaw", "--lam", "3", "--parity", "odd"], "14 7 4 3 4",
+     "103b67343395099be178a61017b52ecc39282437cf1a3bc9fd80d9402630e813"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout, digest", CONSTRUCT_PINS,
+                         ids=[" ".join(p[0][:2]) for p in CONSTRUCT_PINS])
+def test_construct_golden(argv, stdout, digest, tmp_path, capsys):
+    from dsrg import circulant_tournament, duval_b
+    base = tmp_path / "base.adj"
+    write_adj(duval_b(circulant_tournament(5, {1, 2})).adj, base)
+    out = tmp_path / "g.adj"
+    argv = [a.format(base=base) for a in argv]
+    assert main(["construct", *argv, "-o", str(out)]) == 0
+    assert capsys.readouterr().out == stdout + "\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("method, needs", [
+    ("duval-b", "--tournament"), ("duval-c", "--tournament"),
+    ("m", "--tournament"), ("wide", "--tournament and --w"),
+    ("tall", "--tournament and --w"), ("lem5", "--tournament"),
+    ("lem6", "--tournament"), ("lem7", "--s"), ("qr", "--q"),
+    ("pq", "--tournament"), ("kron", "--input and --m"),
+    ("cayley", "--group and --conn"), ("hobart-shaw", "--lam and --parity"),
+])
+def test_construct_missing_inputs_are_input_errors(method, needs, capsys):
+    assert main(["construct", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {method} needs {needs}\n"
+
+
+@pytest.mark.parametrize("desc", ["standard:-3", "circulant:-3:1",
+                                  "circulant:0:1"])
+def test_construct_non_positive_order_is_input_error(desc):
+    code, stdout, stderr = run_cli("construct", "duval-b",
+                                   "--tournament", desc)
+    assert code == 2 and stdout == ""
+    assert "positive odd order" in stderr and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("extra", [
+    ["--sigma1", "5"], ["--sigma1", "5", "--sigma2", "8"], ["--s-set", "1,4"],
+])
+def test_construct_qr_partial_triple_is_input_error(extra, capsys):
+    assert main(["construct", "qr", "--q", "13", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--sigma1, --sigma2 and --s-set" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["qr", "--q", "5", "--sigma1", "2", "--sigma2", "3", "--s-set", "a,b"],
+     "input error: bad --s-set residues 'a,b'\n"),
+    (["cayley", "--group", "cyclic:3", "--conn", "a"],
+     "input error: bad connection set 'a'\n"),
+])
+def test_construct_unparsable_integer_sets_are_input_errors(argv, message,
+                                                            capsys):
+    assert main(["construct", *argv]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_construct_kron_rejects_t_not_mu(tmp_path):
     fixture = tmp_path / "f.adj"
     write_adj(FIXTURE_8, fixture)
@@ -193,6 +289,35 @@ def test_classify_groups_files(tmp_path):
     assert {paths[0], paths[1]} in joined
 
 
+def test_classify_golden(tmp_path, monkeypatch, capsys):
+    # pins the classes, their order, member order and certificate hashes
+    from dsrg import (PermSpec, check_tournament, circulant_tournament,
+                      conjugate_by_perm, paley_tournament)
+    from dsrg import constructions as cons
+    l7 = cons.cycle_sum_dsrg(1).adj
+    p7 = paley_tournament(7).adj
+    graphs = {
+        "a.adj": l7,
+        "b.adj": cons.bordered_team_dsrg(
+            check_tournament(BinMatrix.zeros(1))).adj,
+        "c.adj": conjugate_by_perm(l7, PermSpec((3, 0, 7, 1, 6, 2, 5, 4))),
+        "d.adj": cons.team_dsrg(circulant_tournament(3, {1})).adj,
+        "e.adj": cons.cycle_sum_dsrg(3).adj,
+        "f.adj": p7,
+        "g.adj": conjugate_by_perm(p7, PermSpec.reversal(7)),
+    }
+    monkeypatch.chdir(tmp_path)
+    for name, m in graphs.items():
+        write_adj(m, name)
+    assert main(["classify", "e.adj", "g.adj", "a.adj", "d.adj", "b.adj",
+                 "f.adj", "c.adj"]) == 0
+    assert capsys.readouterr().out == (
+        "ce51d270ba2aaf65: g.adj f.adj\n"
+        "9570bfca476b8c58: a.adj b.adj c.adj\n"
+        "966f14340c566157: d.adj\n"
+        "bcdbc562cb9dc212: e.adj\n")
+
+
 def test_classify_duplicate_file(tmp_path):
     p = tmp_path / "g.adj"
     write_adj(FIXTURE_8, p)
@@ -275,6 +400,8 @@ def test_catalog_deterministic(tmp_path):
 @pytest.mark.parametrize("max_n, digest", [
     (20, "65047fd8de5477b8158896581b5015ed15999b8dff4a30b0c0b0ddd7f6c461ca"),
     (34, "2fa815fceb11d50c27b34545a5b48ea09afb3c9e07d55d14cab327159e02e5ef"),
+    (48, "6cb7ea40cbfa70a15619b3e3cb2d1ddd9379bdf72e640003347d129ca1f3c3db"),
+    (96, "7df5f9f6fc57ba9190a668d351e92b84cf7c2d226f0aaaa6ac28ca0c7755d1c7"),
 ])
 def test_catalog_golden_digest(max_n, digest):
     # pins every canonical matrix and certificate hash of the catalog
@@ -291,6 +418,38 @@ def test_duval_b_built_once_per_tournament():
     built = [r for r in results if r.method == "duval_B"]
     assert spy.call_count == len(built) > 0
     assert any(r.method == "kron" for r in results)
+
+
+def _failing_lem6(t, label=None):
+    raise ValueError("no layout")
+
+
+def test_catalog_records_a_failing_construction():
+    from dsrg import constructions as cons
+    from dsrg.cli import all_construction_results
+    expected = [r for r in all_construction_results(20) if r.method != "lem6"]
+    failures = []
+    with mock.patch.object(cons, "bordered_team_dsrg", _failing_lem6):
+        results = all_construction_results(20, failures)
+    assert failures == ["lem6(enum:3:0): no layout"]
+    assert results == expected
+
+
+def test_catalog_failure_propagates_without_a_list():
+    from dsrg import constructions as cons
+    from dsrg.cli import all_construction_results
+    with mock.patch.object(cons, "bordered_team_dsrg", _failing_lem6):
+        with pytest.raises(ValueError, match="no layout"):
+            all_construction_results(20)
+
+
+def test_catalog_cli_reports_failures(capsys):
+    from dsrg import constructions as cons
+    with mock.patch.object(cons, "bordered_team_dsrg", _failing_lem6):
+        assert main(["catalog", "20"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("n k t lambda mu classes\n")
+    assert captured.err == "construction failed: lem6(enum:3:0): no layout\n"
 
 
 def test_catalog_unique_graph_at_8():

@@ -105,7 +105,7 @@ def test_classify_groups_and_order():
               cons.cycle_sum_dsrg(3).adj,
               conjugate_by_perm(a, PermSpec(tuple(rng.sample(range(16), 16)))),
               cycle_power(3, 1)]
-    groups = classify(graphs)
+    groups = [members for _, members in classify(graphs)]
     assert groups == [[3], [0, 2], [1]] or groups == [[3], [1], [0, 2]]
     # classes ordered by (order, canonical); the 3-vertex class comes first
     assert groups[0] == [3]
@@ -113,7 +113,39 @@ def test_classify_groups_and_order():
 
 def test_classify_duplicates():
     a = random_digraph(random.Random(16), 7)
-    assert classify([a, a]) == [[0, 1]]
+    assert classify([a, a]) == [(canonical_form(a), [0, 1])]
+
+
+@st.composite
+def classify_inputs(draw):
+    """Random digraphs on at most 5 vertices, loops allowed, mixed with
+    relabelled copies of some of them, in random order."""
+    bases = draw(st.lists(
+        st.integers(1, 5).flatmap(lambda n: st.lists(
+            st.integers(0, (1 << n) - 1), min_size=n, max_size=n)),
+        min_size=1, max_size=5))
+    graphs = [BinMatrix(len(rows), tuple(rows)) for rows in bases]
+    for _ in range(draw(st.integers(0, 6))):
+        g = draw(st.sampled_from(graphs))
+        p = PermSpec(tuple(draw(st.permutations(range(g.n)))))
+        graphs.append(conjugate_by_perm(g, p))
+    return draw(st.permutations(graphs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(classify_inputs())
+def test_classify_matches_are_isomorphic(graphs):
+    classes = classify(graphs)
+    oracle = {frozenset(j for j, h in enumerate(graphs)
+                        if are_isomorphic(g, h) is not None)
+              for g in graphs}
+    assert {frozenset(members) for _, members in classes} == oracle
+    assert sum(len(members) for _, members in classes) == len(graphs)
+    for cert, members in classes:
+        assert members == sorted(members)
+        assert all(canonical_form(graphs[i]) == cert for i in members)
+    keys = [(cert.order, cert.canonical.rows) for cert, _ in classes]
+    assert keys == sorted(keys)
 
 
 def test_iso_bound_refusal():
@@ -242,7 +274,7 @@ def test_soundness_of_witnesses():
 def test_commuting_transposer_large_order():
     # the bijection is assembled by a loop, so the order is not limited by
     # the interpreter's recursion depth
-    p = find_commuting_transposer(BinMatrix.zeros(1201), bound=1201)
+    p = find_commuting_transposer(BinMatrix.zeros(1201))
     assert p == PermSpec.identity(1201)
 
 

@@ -139,14 +139,6 @@ def test_block_compose_identity_and_errors():
     with pytest.raises(DimensionError):
         block_compose([[eye, BinMatrix.identity(2)],
                        [BinMatrix.identity(2), eye]])
-    with pytest.raises(DimensionError):
-        block_compose([[0, 1], [1, 0]])  # sizes undeterminable
-
-
-def test_block_compose_constant_fill():
-    eye = BinMatrix.identity(2)
-    out = block_compose([[eye, 1], [0, eye]])
-    assert out.row_strings() == ["1011", "0111", "0010", "0001"]
 
 
 def test_conjugate_identity_and_shift():

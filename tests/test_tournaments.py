@@ -58,6 +58,13 @@ def test_circulant_rejects_bad_connection_sets():
         circulant_tournament(5, {1})  # covers neither 2 nor 3
 
 
+@pytest.mark.parametrize("n, conn", [(-3, {1}), (-3, set()), (0, {1}),
+                                     (-1, set())])
+def test_circulant_rejects_non_positive_order(n, conn):
+    with pytest.raises(ValueError, match="positive odd order"):
+        circulant_tournament(n, conn)
+
+
 def test_cycle_sum_families():
     fam = cycle_sum_family(5, "odd")
     assert fam.exponents == frozenset({1, 3})
@@ -142,6 +149,43 @@ def test_team_lem6_block_identity():
                 total = sq.entry(i, j) + ddt.entry(i, j) + \
                     d.entry(i, j) + dt.entry(i, j)
                 assert total == h
+
+
+def _bordered_layout_oracle(a):
+    """The layout as it was first written: a grid of tournament blocks,
+    constant cells and one-row or one-column lists, expanded to dense rows
+    cell by cell."""
+    h = a.n
+    at = a.transpose()
+    layout = [[0, [[1] * h], 0, [[0] * h]],
+              [[[0]] * h, a, [[1]] * h, at],
+              [0, [[0] * h], 0, [[1] * h]],
+              [[[1]] * h, at, [[0]] * h, a]]
+    sizes = [1, h, 1, h]
+
+    def dense(cell, height, width):
+        if isinstance(cell, BinMatrix):
+            return cell.to_lists()
+        if isinstance(cell, int):
+            return [[cell] * width for _ in range(height)]
+        return cell
+
+    rows = []
+    for grid_row, height in zip(layout, sizes):
+        blocks = [dense(c, height, w) for c, w in zip(grid_row, sizes)]
+        rows.extend([x for b in blocks for x in b[i]] for i in range(height))
+    return BinMatrix.from_rows(rows)
+
+
+def test_bordered_layout_matches_block_oracle():
+    tournaments = [t for n in (1, 3, 5, 7, 9)
+                   for t in enumerate_regular_tournaments(n)]
+    tournaments += [paley_tournament(q) for q in (3, 7, 11, 19, 23)]
+    assert len(tournaments) == 26
+    for t in tournaments:
+        assert team_lem6(t) == _bordered_layout_oracle(t.adj)
+        if t.doubly_regular_lambda is not None:
+            assert team_from_drt(t) == _bordered_layout_oracle(t.adj)
 
 
 def test_team_lem6_rejects_irregular():
