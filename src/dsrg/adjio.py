@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .matrix import BinMatrix
+from .matrix import BinMatrix, InputError
 
 
-class AdjFormatError(ValueError):
+class AdjFormatError(InputError):
     """Malformed .adj content; carries the offending 1-based line number."""
 
     def __init__(self, line: int, detail: str):

@@ -20,9 +20,9 @@ from typing import Sequence
 from . import constructions as cons
 from . import groups as grp
 from . import iso
-from .adjio import AdjFormatError, read_adj, write_adj
-from .iso import CERT_VERSION, BoundExceeded, canonical_form
-from .matrix import BinMatrix, PermSpec
+from .adjio import read_adj, write_adj
+from .iso import CERT_VERSION, canonical_form
+from .matrix import BinMatrix, InputError, PermSpec
 from .numth import is_prime
 from .params import DsrgParams, NotDsrg, enumerate_feasible, verify_dsrg
 from .tournaments import (ENUMERATION_LIMIT, NotTournament, Tournament,
@@ -32,10 +32,6 @@ from .tournaments import (ENUMERATION_LIMIT, NotTournament, Tournament,
 # dsrg feasible 1000 takes about a minute (62-67 s on a 2-vCPU x86-64 host,
 # Python 3.11); the scan grows roughly as max_n^3
 FEASIBLE_MAX_N = 1000
-
-
-class InputError(ValueError):
-    """Bad descriptor or argument (exit code 2)."""
 
 
 def parse_tournament(desc: str) -> tuple[Tournament, str]:
@@ -88,10 +84,7 @@ def parse_group(desc: str) -> grp.GroupTable:
 
 def _first_qr(q: int) -> cons.ConstructionResult:
     """The quadratic-residue graph over the first triple of qr_search."""
-    triple = next(cons._qr_triples(q), None)
-    if triple is None:
-        raise ValueError(f"no valid quadratic-residue triples for q={q}")
-    return cons.qr_dsrg(q, *triple)
+    return cons.qr_dsrg(q, *cons.qr_search(q)[0])
 
 
 def _int_set(text: str, what: str) -> frozenset[int]:
@@ -488,7 +481,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a process that the signal killed
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (AdjFormatError, InputError, BoundExceeded, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, NotDsrg, NotTournament) as exc:

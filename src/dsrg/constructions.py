@@ -16,15 +16,14 @@ matrix.sigma_circulant.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .iso import BoundExceeded
-from .matrix import (BinMatrix, PermSpec, _indicator, block_compose,
-                     kronecker, sigma_circulant)
+from .matrix import (BinMatrix, InputError, PermSpec, _indicator,
+                     block_compose, kronecker, sigma_circulant)
 from .numth import is_prime, mod_inverse, quadratic_residues
-from .params import DsrgParams, try_verify_dsrg, verify_dsrg
+from .params import DsrgParams, verify_dsrg
 from .tournaments import (Tournament, as_doubly_regular, team_from_drt,
                           team_lem6)
 
@@ -68,7 +67,7 @@ def _alternating(t: Tournament, w: int, by_row: bool, method: str,
     """The 2w x 2w block grid whose block (r, c) is A when c (or r, with
     by_row) is even and A^T otherwise: ((4k+2)w, 2kw, kw, (k-1)w, kw)."""
     if w < 1:
-        raise ValueError(f"block multiplicity must be >= 1, got {w}")
+        raise InputError(f"block multiplicity must be >= 1, got {w}")
     a, k = _regular(t, what, min_valency=1)
     at = a.transpose()
     adj = block_compose([[at if (r if by_row else c) % 2 else a
@@ -160,7 +159,7 @@ def bordered_team_dsrg(t: Tournament,
 def cycle_sum_matrix(s: int) -> BinMatrix:
     """Sum of the first s powers of the (2s+2)-cycle."""
     if s < 1:
-        raise ValueError(f"need s >= 1, got {s}")
+        raise InputError(f"need s >= 1, got {s}")
     n = 2 * s + 2
     return sigma_circulant(n, _indicator(n, range(1, s + 1)), 1)
 
@@ -189,19 +188,17 @@ def _check_difference_partition(q: int, m: int, s_set: frozenset[int]) -> None:
 
 
 def qr_dsrg(q: int, sigma1: int, sigma2: int,
-            s_set: Iterable[int] = ()) -> ConstructionResult:
+            s_set: Iterable[int]) -> ConstructionResult:
     """Quadratic-residue block matrix [[Q, C1], [C2, Q]] on 2q vertices.
 
-    Q is the residue matrix of the prime q = 4m+1; C2 is the
-    sigma2-circulant whose first row is the indicator of s_set, which must
-    satisfy the difference-partition property against its complement;
-    sigma1*sigma2 = 1 with both sigmas non-residues.  C1 is the
-    sigma1-circulant whose first-row support completes the matrix to a
-    verified graph (candidate supports are tried in a fixed order, so the
-    output is deterministic).  Parameters (2q, q-1, 2m, 2m-1, 2m).
+    Q is the residue matrix of the prime q = 4m+1; C1 and C2 are the
+    sigma1- and sigma2-circulants whose first row is the indicator of
+    s_set, which must satisfy the difference-partition property against
+    its complement; sigma1*sigma2 = 1 with both sigmas non-residues.
+    Parameters (2q, q-1, 2m, 2m-1, 2m).
     """
     if not is_prime(q) or q % 4 != 1:
-        raise ValueError(f"need a prime q = 1 (mod 4), got {q}")
+        raise InputError(f"need a prime q = 1 (mod 4), got {q}")
     m = (q - 1) // 4
     residues = quadratic_residues(q)
     for name, sigma in (("sigma1", sigma1), ("sigma2", sigma2)):
@@ -219,22 +216,11 @@ def qr_dsrg(q: int, sigma1: int, sigma2: int,
     # entry (i, j) of the residue matrix is 1 iff i - j is a residue; -1 is
     # a residue mod q = 1 (mod 4), so that is the circulant on the residues
     qmat = sigma_circulant(q, _indicator(q, residues), 1)
-    c2 = sigma_circulant(q, _indicator(q, support), sigma2)
-    complement = frozenset(range(1, q)) - support
-    candidates = dict.fromkeys((support, complement,
-                                frozenset((-x) % q for x in support),
-                                frozenset((-x) % q for x in complement)))
-    fallback = (frozenset(c) for c in
-                itertools.combinations(range(1, q), 2 * m))
-    expected = (2 * q, q - 1, 2 * m, 2 * m - 1, 2 * m)
+    row = _indicator(q, support)
+    adj = block_compose([[qmat, sigma_circulant(q, row, sigma1)],
+                         [sigma_circulant(q, row, sigma2), qmat]])
     desc = f"q={q},sigma1={sigma1},sigma2={sigma2},S={{{','.join(map(str, sorted(support)))}}}"
-    for c1_support in itertools.chain(candidates, fallback):
-        c1 = sigma_circulant(q, _indicator(q, c1_support), sigma1)
-        adj = block_compose([[qmat, c1], [c2, qmat]])
-        params = try_verify_dsrg(adj)
-        if params is not None and params.as_tuple() == expected:
-            return ConstructionResult("qr", desc, adj, params)
-    raise ValueError(f"no sigma1-circulant completes the construction for {desc}")
+    return _result("qr", desc, adj, (2 * q, q - 1, 2 * m, 2 * m - 1, 2 * m))
 
 
 _QR_SEARCH_BOUND = 29
@@ -243,37 +229,28 @@ _QR_SEARCH_BOUND = 29
 def qr_search(q: int, bound: int = _QR_SEARCH_BOUND
               ) -> list[tuple[int, int, frozenset[int]]]:
     """All (sigma1, sigma2, S) triples passing the quadratic-residue
-    preconditions, ascending in sigma1 and then in sorted S."""
-    return list(_qr_triples(q, bound))
+    preconditions, ascending in sigma1 and then in sorted S.
 
-
-def _qr_triples(q: int, bound: int = _QR_SEARCH_BOUND
-                ) -> Iterator[tuple[int, int, frozenset[int]]]:
-    """The triples of qr_search in its order, generated lazily: the first
-    one costs only the subsets tested up to its support."""
+    sigma1 runs over the non-residues and sigma2 = sigma1^-1 is one too.
+    S is the residues R or the non-residues N (Bridges & Mena, Ars Combin.
+    8, 1979; Ma, Des. Codes Cryptogr. 4, 1994).  The difference-partition
+    check counts, for each x != 0, the pairs s - t = x with s in S and t
+    outside S; that count is m exactly when lambda_S(x) = m - [x in S],
+    where lambda_S(x) counts the pairs s - s' = x inside S.  Since
+    lambda_S(x) = lambda_S(-x), this forces S = -S.  Then every nontrivial
+    character sum of S is a root of z^2 + z - m, so it lies in Q(sqrt q).
+    Multiplying by a square fixes sqrt q, so aS = S for every square a,
+    and S is R or N.
+    """
     if not is_prime(q) or q % 4 != 1:
-        raise ValueError(f"need a prime q = 1 (mod 4), got {q}")
+        raise InputError(f"need a prime q = 1 (mod 4), got {q}")
     if q > bound:
         raise BoundExceeded(f"q = {q} exceeds the search bound {bound}")
-    m = (q - 1) // 4
     residues = quadratic_residues(q)
-    non_residues = [x for x in range(1, q) if x not in residues]
-    # the inverse of a non-residue is a non-residue, so every non-residue
-    # sigma1 pairs with sigma2 = sigma1^-1
-    pairs = [(s1, mod_inverse(s1, q)) for s1 in non_residues]
-    valid_sets = []
-    s1, s2 = pairs[0]
-    for combo in itertools.combinations(range(1, q), 2 * m):
-        support = frozenset(combo)
-        try:
-            _check_difference_partition(q, m, support)
-        except ValueError:
-            continue
-        valid_sets.append(support)
-        yield s1, s2, support
-    for s1, s2 in pairs[1:]:
-        for support in valid_sets:
-            yield s1, s2, support
+    non_residues = frozenset(range(1, q)) - residues
+    # 1 is in R and not in N, so R sorts first
+    return [(s1, mod_inverse(s1, q), s_set) for s1 in sorted(non_residues)
+            for s_set in (residues, non_residues)]
 
 
 def pq_dsrg(qmat: Tournament, p: PermSpec,
@@ -356,9 +333,9 @@ def kronecker_expand(a: BinMatrix, m: int, side: str = "right",
     Scales every parameter by m: (nm, km, tm, lam*m, mu*m).
     """
     if m <= 1:
-        raise ValueError(f"expansion factor must exceed 1, got {m}")
+        raise InputError(f"expansion factor must exceed 1, got {m}")
     if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        raise InputError(f"side must be 'left' or 'right', got {side!r}")
     params = verify_dsrg(a)
     if params.t != params.mu:
         raise ValueError(

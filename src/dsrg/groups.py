@@ -19,7 +19,8 @@ from typing import Iterator, Sequence
 
 from .constructions import ConstructionResult
 from .iso import BoundExceeded
-from .matrix import BinMatrix, _indicator, block_compose, sigma_circulant
+from .matrix import (BinMatrix, InputError, _indicator, block_compose,
+                     sigma_circulant)
 from .params import DsrgParams, _first_inconstant, try_verify_dsrg
 
 SCAN_BOUND = 16
@@ -199,9 +200,9 @@ class CayleySpec:
 
     def __post_init__(self) -> None:
         if self.group.identity in self.conn:
-            raise ValueError("the identity cannot be in a connection set")
+            raise InputError("the identity cannot be in a connection set")
         if any(not 0 <= s < self.group.order for s in self.conn):
-            raise ValueError("connection set indices out of range")
+            raise InputError("connection set indices out of range")
 
 
 def cayley_graph(spec: CayleySpec) -> BinMatrix:
@@ -272,7 +273,7 @@ def hobart_shaw(lam: int, parity: str) -> ConstructionResult:
     i + j lies in {0..r}, both mod m.
     """
     if lam < 1:
-        raise ValueError(f"need lam >= 1, got {lam}")
+        raise InputError(f"need lam >= 1, got {lam}")
     if parity == "even":
         expected = (4 * lam, 2 * lam - 1, lam, lam - 1, lam - 1)
         rotations = lam - 1
@@ -282,7 +283,7 @@ def hobart_shaw(lam: int, parity: str) -> ConstructionResult:
         rotations = lam
         n_rot = 2 * lam + 1
     else:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
     _, k, t, _, _ = expected
     if not 0 < t < k:  # only the even case with lam = 1
         raise ValueError(f"parameters {expected} are not genuine (need "

@@ -20,6 +20,11 @@ class DimensionError(ValueError):
     """Shapes of the operands do not line up."""
 
 
+class InputError(ValueError):
+    """Bad argument, descriptor or file content, as opposed to a rejected
+    construction (exit code 2 on the command line)."""
+
+
 def _full_mask(n: int) -> int:
     return (1 << n) - 1
 

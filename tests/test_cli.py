@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from dsrg import (BinMatrix, duval_feasible, enumerate_feasible, read_adj,
                   write_adj)
 from dsrg.adjio import AdjFormatError, format_adj, parse_adj
-from dsrg.cli import (FEASIBLE_MAX_N, build_catalog, format_catalog, main,
-                      read_catalog)
+from dsrg.cli import (FEASIBLE_MAX_N, build_catalog, build_parser,
+                      format_catalog, main, read_catalog)
 from known_graphs import FIXTURE_8
 
 
@@ -98,8 +99,8 @@ def test_construct_paired_rows(tmp_path):
     assert stdout.strip() == "10 4 2 1 2"
 
 
-# stdout and the sha256 of the -o file, one call per method (two for qr:
-# its first triple and an explicit one)
+# stdout and the sha256 of the -o file, one call per method (three for qr:
+# its first triple at q = 13, an explicit one, and its first triple at 17)
 CONSTRUCT_PINS = [
     (["duval-b", "--tournament", "circulant:5:1,2"], "10 4 2 1 2",
      "91d41a9b987136f4a7935900a4cf000780e559843c02f3c3b0c2f7514bae2093"),
@@ -122,6 +123,8 @@ CONSTRUCT_PINS = [
     (["qr", "--q", "5", "--sigma1", "2", "--sigma2", "3", "--s-set", "1,4"],
      "10 4 2 1 2",
      "d9e4d8d90200f6602ddef4d5126c0dbe022cd5a68ea17cdc93e8eb8a09893735"),
+    (["qr", "--q", "17"], "34 16 8 7 8",
+     "b4c8b33783fc83a6c558c01a3caf8acebc3bce5de25293597c53aad7e784d71a"),
     (["pq", "--tournament", "standard:7", "--perm", "0,6,5,4,3,2,1"],
      "14 6 3 2 3",
      "227205d85faf4c9dd86c6b8e260f37f685fc7543c138a10750820fc55578e58c"),
@@ -192,6 +195,26 @@ def test_construct_unparsable_integer_sets_are_input_errors(argv, message,
                                                             capsys):
     assert main(["construct", *argv]) == 2
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("argv", [
+    ["lem7", "--s", "-1"],
+    ["wide", "--tournament", "standard:5", "--w", "0"],
+    ["qr", "--q", "-5"],
+    ["hobart-shaw", "--lam", "0", "--parity", "odd"],
+    ["cayley", "--group", "cyclic:5", "--conn", "7"],
+])
+def test_construct_number_outside_domain_is_input_error(argv):
+    code, stdout, stderr = run_cli("construct", *argv)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("input error: ") and "Traceback" not in stderr
+
+
+def test_construct_qr_bad_s_set_is_semantic_error():
+    code, stdout, stderr = run_cli("construct", "qr", "--q", "5", "--sigma1",
+                                   "2", "--sigma2", "3", "--s-set", "1,2")
+    assert code == 1 and stdout == ""
+    assert "difference-partition" in stderr and "Traceback" not in stderr
 
 
 def test_construct_kron_rejects_t_not_mu(tmp_path):
@@ -341,9 +364,31 @@ def test_cayley_scan_cli():
 
 
 def test_qr_search_cli():
-    code, stdout, _ = run_cli("qr-search", "--q", "5")
-    assert code == 0
-    assert "2 3 1,4" in stdout
+    outputs = {}
+    for q in ("5", "13", "17"):
+        code, outputs[q], _ = run_cli("qr-search", "--q", q)
+        assert code == 0
+    assert "2 3 1,4" in outputs["5"]
+    assert {q: hashlib.sha256(out.encode()).hexdigest()
+            for q, out in outputs.items()} == {
+        "5": "f01f8068be4c3b8a4c879dcb0bc5f10000e2bb2b5a60b47020f949cfaf3c445c",
+        "13": "07d613d2b5eb86562a5290b2889b5b576c11373e8879d0d3c4f6dfedaeb0cdc4",
+        "17": "6afde04508a31786fd919ba577f38af71d76057748d413708ec8713300ac4b51",
+    }
+
+
+def test_qr_at_29_finishes():
+    # every non-residue sigma1 against the residues and the non-residues
+    proc = subprocess.run([sys.executable, "-m", "dsrg", "qr-search",
+                           "--q", "29"], capture_output=True, text=True,
+                          timeout=20)
+    assert proc.returncode == 0
+    assert len(proc.stdout.splitlines()) == 28
+    proc = subprocess.run([sys.executable, "-m", "dsrg", "construct", "qr",
+                           "--q", "29"], capture_output=True, text=True,
+                          timeout=20)
+    assert proc.returncode == 0
+    assert proc.stdout == "58 28 14 13 14\n"
 
 
 def test_pq_search_cli():
@@ -557,3 +602,15 @@ def test_closed_pipe_ends_quietly():
     assert first == b"6 2 1 0 1\n"
     assert code == 141
     assert err == b""
+
+
+def test_readme_command_lines_parse():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1]
+    block = block.split("```", 2)[1]
+    commands = [shlex.split(line, comments=True)
+                for line in block.splitlines() if line.startswith("dsrg ")]
+    assert len(commands) == 15
+    parser = build_parser()
+    for words in commands:
+        assert parser.parse_args(words[1:]).handler

@@ -176,7 +176,35 @@ def test_qr_search_order_and_lazy_first_triple(q):
         supports.append(frozenset(combo))
     expected = [(s1, s2, s) for s1, s2 in pairs for s in supports]
     assert cons.qr_search(q) == expected
-    assert next(cons._qr_triples(q)) == expected[0]
+
+
+@pytest.mark.parametrize("q", [29, 37])
+def test_qr_difference_partition_sets_are_residues_or_non_residues(q):
+    # S = -S is forced, so scanning every symmetric S of size 2m is
+    # exhaustive; only R and N pass
+    m = (q - 1) // 4
+    residues = cons.quadratic_residues(q)
+    passing = set()
+    for half in itertools.combinations(range(1, (q + 1) // 2), m):
+        s_set = frozenset(half) | frozenset(q - x for x in half)
+        try:
+            cons._check_difference_partition(q, m, s_set)
+        except ValueError:
+            continue
+        passing.add(s_set)
+    assert passing == {residues, frozenset(range(1, q)) - residues}
+
+
+@pytest.mark.parametrize("q", [5, 13, 17, 29, 37, 41, 53, 61])
+def test_qr_verifies_on_every_non_residue_and_both_sets(q):
+    m = (q - 1) // 4
+    residues = cons.quadratic_residues(q)
+    non_residues = frozenset(range(1, q)) - residues
+    for s1 in sorted(non_residues):
+        for s_set in (residues, non_residues):
+            r = cons.qr_dsrg(q, s1, cons.mod_inverse(s1, q), s_set)
+            assert r.params.as_tuple() == \
+                (2 * q, q - 1, 2 * m, 2 * m - 1, 2 * m)
 
 
 def test_qr_13():

@@ -195,6 +195,29 @@ def test_commuting_transposer_absent_for_paley_7():
     assert find_commuting_transposer(paley_tournament(7).adj) is None
 
 
+def _transposes_both_sides(e, images):
+    # P[i][p(i)] = 1, so (PA)[i][j] = A[p(i)][j] and (AP)[i][p(j)] = A[i][j]
+    n = len(e)
+    return all(e[images[i]][j] == e[j][i] and e[i][j] == e[images[j]][i]
+               for i in range(n) for j in range(n))
+
+
+def test_commuting_transposer_matches_brute_force_up_to_order_4():
+    # all 4,165 loopless digraphs of order <= 4
+    for n in range(1, 5):
+        perms = list(itertools.permutations(range(n)))
+        off = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for mask in range(1 << len(off)):
+            e = [[0] * n for _ in range(n)]
+            for b, (i, j) in enumerate(off):
+                e[i][j] = (mask >> b) & 1
+            p = find_commuting_transposer(BinMatrix.from_rows(e))
+            exists = any(_transposes_both_sides(e, q) for q in perms)
+            assert (p is not None) == exists
+            if p is not None:
+                assert _transposes_both_sides(e, p.images)
+
+
 def _lift_identity_p(n, p):
     return PermSpec.block_diag([PermSpec.identity(n), p.inverse()])
 
