@@ -21,11 +21,10 @@ from .params import (DOUBLY_REGULAR_TOURNAMENT, GENUINE, UNDIRECTED,
                      complement_graph, complement_params, duval_feasible,
                      enumerate_feasible, try_verify_dsrg, verify_dsrg)
 from .tournaments import (FamilyMatrix, NotTournament, TeamProfile,
-                          Tournament, as_doubly_regular, check_tournament,
-                          circulant_tournament, cycle_sum_family,
+                          Tournament, circulant_tournament, cycle_sum_family,
                           enumerate_regular_tournaments,
                           is_doubly_regular_team,
                           is_doubly_regular_tournament, paley_tournament,
-                          team_from_drt, team_lem6)
+                          team_lem6)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,8 +26,8 @@ from .matrix import BinMatrix, InputError, PermSpec
 from .numth import is_prime
 from .params import DsrgParams, NotDsrg, enumerate_feasible, verify_dsrg
 from .tournaments import (ENUMERATION_LIMIT, NotTournament, Tournament,
-                          check_tournament, circulant_tournament,
-                          enumerate_regular_tournaments, paley_tournament)
+                          circulant_tournament, enumerate_regular_tournaments,
+                          is_doubly_regular_tournament, paley_tournament)
 
 # dsrg feasible 1000 takes about a minute (62-67 s on a 2-vCPU x86-64 host,
 # Python 3.11); the scan grows roughly as max_n^3
@@ -49,7 +49,7 @@ def parse_tournament(desc: str) -> tuple[Tournament, str]:
         if kind == "paley":
             return paley_tournament(int(rest)), desc
         if kind == "adj":
-            return check_tournament(read_adj(rest)), desc
+            return Tournament(read_adj(rest)), desc
     except (ValueError, OSError) as exc:
         raise InputError(f"bad tournament descriptor {desc!r}: {exc}") from exc
     raise InputError(f"unknown tournament descriptor kind {kind!r} "
@@ -285,9 +285,9 @@ def all_construction_results(max_n: int,
             if 4 * (order + 1) <= max_n:
                 attempt(lambda: cons.bordered_team_dsrg(t, label),
                         f"lem6({label})")
-            if t.doubly_regular_lambda is not None and \
-                    16 * t.doubly_regular_lambda + 16 <= max_n:
-                attempt(lambda: cons.team_dsrg(t, label), f"lem5({label})")
+                if is_doubly_regular_tournament(t) is not None:
+                    attempt(lambda: cons.team_dsrg(t, label),
+                            f"lem5({label})")
             if 2 * order <= max_n and order <= 11:
                 perms = cons.pq_search(t)
                 if perms:
@@ -318,7 +318,7 @@ def all_construction_results(max_n: int,
     for lam in range(1, (max_n - 2) // 4 + 1):
         attempt(lambda lam=lam: grp.hobart_shaw(lam, "odd"),
                 f"hobart_shaw(lam={lam},odd)")
-    return [r for r in results if r.params.n <= max_n]
+    return results
 
 
 def build_catalog(max_n: int,

@@ -299,17 +299,17 @@ def hobart_shaw(lam: int, parity: str) -> ConstructionResult:
                               adj, params)
 
 
-def cayley_subset_scan(g: GroupTable, max_results: int | None = None,
-                       bound: int = SCAN_BOUND
+def cayley_subset_scan(g: GroupTable, max_results: int | None = None
                        ) -> list[tuple[frozenset[int], DsrgParams]]:
     """Exhaustive scan over connection sets yielding genuine parameters.
 
     Subsets of the non-identity elements are visited in ascending bitmask
     order (so output order is reproducible) and kept when the product
-    criteria succeed with 0 < t < k.  Refuses orders above the bound.
+    criteria succeed with 0 < t < k.  Refuses orders above SCAN_BOUND.
     """
-    if g.order > bound:
-        raise BoundExceeded(f"group order {g.order} exceeds the scan bound {bound}")
+    if g.order > SCAN_BOUND:
+        raise BoundExceeded(
+            f"group order {g.order} exceeds the scan bound {SCAN_BOUND}")
     non_identity = [x for x in range(g.order) if x != g.identity]
     found: list[tuple[frozenset[int], DsrgParams]] = []
     for mask in range(1, 1 << len(non_identity)):

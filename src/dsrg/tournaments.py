@@ -6,7 +6,7 @@ out-degrees equal, order 2k+1) feed the paired-block constructions; doubly
 regular tournaments (each out-neighborhood spans a regular tournament,
 order 4*lam+3) feed the team-tournament constructions.  This module
 builds circulant and quadratic-residue tournaments, certifies the defining
-properties, assembles the bordered two-team layouts, and enumerates
+properties, assembles the bordered two-team layout, and enumerates
 regular tournaments up to isomorphism at small orders (through order 11 by
 default).  The enumeration fixes vertex 0's out- and in-neighbourhoods to
 one representative per class of half-order tournaments and fills in the
@@ -18,7 +18,7 @@ by canonical form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from . import iso
@@ -40,11 +40,32 @@ class NotTournament(Exception):
 
 @dataclass(frozen=True)
 class Tournament:
-    """Certified tournament; valency is set iff all out-degrees agree."""
+    """Certified tournament: construction checks A + A^T = J - I and raises
+    NotTournament naming the first violating pair.  valency is the common
+    out-degree, or None when out-degrees differ."""
 
     adj: BinMatrix
-    valency: int | None = None
-    doubly_regular_lambda: int | None = None
+    valency: int | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        a = self.adj
+        n = a.n
+        if not a.has_zero_diagonal():
+            bad = next(i for i in range(n) if a.entry(i, i))
+            raise ValueError(f"nonzero diagonal at ({bad}, {bad})")
+        cols = a.transpose().rows
+        for i in range(n):
+            both = a.rows[i] & cols[i]
+            if both:
+                j = (both & -both).bit_length() - 1
+                raise NotTournament(i, j, "arcs in both directions")
+            missing = ~(a.rows[i] | cols[i]) & _full_mask(n) & ~(1 << i)
+            if missing:
+                j = (missing & -missing).bit_length() - 1
+                raise NotTournament(i, j, "no arc in either direction")
+        sums = a.row_sums()
+        regular = all(s == sums[0] for s in sums)
+        object.__setattr__(self, "valency", sums[0] if regular else None)
 
     @property
     def order(self) -> int:
@@ -65,27 +86,6 @@ class TeamProfile:
     k: int
 
 
-def check_tournament(a: BinMatrix) -> Tournament:
-    """Certify A + A^T = J - I; raises NotTournament with the violating pair."""
-    n = a.n
-    if not a.has_zero_diagonal():
-        bad = next(i for i in range(n) if a.entry(i, i))
-        raise ValueError(f"nonzero diagonal at ({bad}, {bad})")
-    cols = a.transpose().rows
-    for i in range(n):
-        both = a.rows[i] & cols[i]
-        if both:
-            j = (both & -both).bit_length() - 1
-            raise NotTournament(i, j, "arcs in both directions")
-        missing = ~(a.rows[i] | cols[i]) & _full_mask(n) & ~(1 << i)
-        if missing:
-            j = (missing & -missing).bit_length() - 1
-            raise NotTournament(i, j, "no arc in either direction")
-    sums = a.row_sums()
-    valency = sums[0] if all(s == sums[0] for s in sums) else None
-    return Tournament(a, valency)
-
-
 def is_doubly_regular_tournament(t: Tournament) -> int | None:
     """Valency of the sub-tournament spanned by each out-neighborhood.
 
@@ -102,16 +102,6 @@ def is_doubly_regular_tournament(t: Tournament) -> int | None:
         return None
     params = try_verify_dsrg(t.adj)
     return None if params is None else params.lam
-
-
-def as_doubly_regular(t: Tournament) -> Tournament:
-    """Attach the out-neighborhood valency, or raise if not doubly regular."""
-    if t.doubly_regular_lambda is not None:
-        return t
-    lam = is_doubly_regular_tournament(t)
-    if lam is None:
-        raise ValueError(f"order-{t.order} tournament is not doubly regular")
-    return Tournament(t.adj, t.valency, lam)
 
 
 def circulant_tournament(n: int, conn: Iterable[int]) -> Tournament:
@@ -135,19 +125,18 @@ def circulant_tournament(n: int, conn: Iterable[int]) -> Tournament:
                        if e not in conn_set and (n - e) not in conn_set)
         raise ValueError(
             f"connection set covers neither {missing} nor {(n - missing) % n}")
-    return check_tournament(sigma_circulant(n, _indicator(n, conn_set), 1))
+    return Tournament(sigma_circulant(n, _indicator(n, conn_set), 1))
 
 
 def paley_tournament(q: int) -> Tournament:
     """Quadratic-residue circulant tournament on a prime q = 3 (mod 4).
 
-    The standard source of doubly regular tournaments: the result always
-    carries doubly_regular_lambda = (q - 3) / 4.
+    The standard source of doubly regular tournaments: the out-neighborhood
+    valency is (q - 3) / 4.
     """
     if not is_prime(q) or q % 4 != 3:
         raise ValueError(f"need a prime q = 3 (mod 4), got {q}")
-    t = circulant_tournament(q, quadratic_residues(q))
-    return as_doubly_regular(t)
+    return circulant_tournament(q, quadratic_residues(q))
 
 
 @dataclass(frozen=True)
@@ -183,17 +172,26 @@ def cycle_sum_family(n: int, which: str, j: int | None = None) -> FamilyMatrix:
         raise ValueError(f"unknown family {which!r}; use odd, even, or run")
     matrix = sigma_circulant(n, _indicator(n, exps), 1)
     try:
-        check_tournament(matrix)
+        Tournament(matrix)
         valid = True
     except NotTournament:
         valid = False
     return FamilyMatrix(matrix, exps, valid)
 
 
-def _bordered_team_layout(a: BinMatrix) -> BinMatrix:
-    """Two bordered copies of a tournament: the doubly regular two-team layout."""
+def team_lem6(t: Tournament) -> BinMatrix:
+    """Two bordered copies of a regular tournament, transposed crosswise.
+
+    For a regular tournament of odd order h the result D satisfies
+    D + D^T = J - I blockwise in (h+1)-blocks and
+    D^2 + D*D^T + D + D^T = h*J.  Over a doubly regular tournament of
+    order m - 1 it is a doubly regular (m, 2)-team tournament.
+    """
+    if not t.is_regular:
+        raise ValueError("the bordered team layout needs a regular tournament")
     # block rows [0 1 0 0], [0 A 1 A^T], [0 0 0 1], [1 A^T 0 A] over
     # column blocks of widths 1, h, 1, h
+    a = t.adj
     h = a.n
     ones = _full_mask(h)
     pairs = list(zip(a.rows, a.transpose().rows))
@@ -202,25 +200,6 @@ def _bordered_team_layout(a: BinMatrix) -> BinMatrix:
         *(r << 1 | 1 << h + 1 | c << h + 2 for r, c in pairs),
         ones << h + 2,
         *(1 | c << 1 | r << h + 2 for r, c in pairs)))
-
-
-def team_from_drt(t: Tournament) -> BinMatrix:
-    """Doubly regular (m, 2)-team tournament built from a doubly regular
-    tournament of order m - 1 (two bordered copies, transposed crosswise)."""
-    t = as_doubly_regular(t)
-    return _bordered_team_layout(t.adj)
-
-
-def team_lem6(t: Tournament) -> BinMatrix:
-    """The same bordered two-team layout over any regular tournament.
-
-    For a regular tournament of odd order h the result D satisfies
-    D + D^T = J - I blockwise in (h+1)-blocks and
-    D^2 + D*D^T + D + D^T = h*J.
-    """
-    if not t.is_regular:
-        raise ValueError("the bordered team layout needs a regular tournament")
-    return _bordered_team_layout(t.adj)
 
 
 def is_doubly_regular_team(a: BinMatrix) -> TeamProfile | None:
@@ -408,15 +387,15 @@ def enumerate_regular_tournaments(n: int,
             f"order {n} exceeds the enumeration limit {limit}; "
             f"pass limit={n} explicitly to override")
     if n == 1:
-        return [Tournament(BinMatrix.zeros(1), 0)]
+        return [Tournament(BinMatrix.zeros(1))]
     k = (n - 1) // 2
     out = []
     for cert, _ in iso.classify(BinMatrix(n, rows)
                                 for rows in _neighbourhood_candidates(n)):
-        t = check_tournament(cert.canonical)
+        t = Tournament(cert.canonical)
         if t.valency != k:
             raise AssertionError(
                 f"canonical representative has valency {t.valency}, "
                 f"expected {k}")
-        out.append(Tournament(t.adj, k, is_doubly_regular_tournament(t)))
+        out.append(t)
     return out

@@ -10,10 +10,11 @@ import pytest
 
 from dsrg import (BinMatrix, PermSpec, abelian_groups_up_to, are_isomorphic,
                   cayley_criteria, cayley_subset_scan, CayleySpec,
-                  check_tournament, circulant_tournament, complement_graph,
-                  conjugate_by_perm, duval_feasible, enumerate_feasible,
+                  circulant_tournament, complement_graph, conjugate_by_perm,
+                  duval_feasible, enumerate_feasible,
                   enumerate_regular_tournaments, hobart_shaw,
-                  paley_tournament, symmetric_group, verify_dsrg)
+                  is_doubly_regular_tournament, paley_tournament,
+                  symmetric_group, Tournament, verify_dsrg)
 from dsrg import constructions as cons
 from dsrg.cli import all_construction_results
 from known_graphs import (FIXTURE_8, FIXTURE_10, FIXTURE_14, TABLE_2_LEFT,
@@ -65,7 +66,7 @@ def test_criterion_3_table_3_reproduction():
         bordered = []
         for h in (1, 3, 5, 7):
             k = (h - 1) // 2
-            t = check_tournament(BinMatrix.zeros(1)) if h == 1 else \
+            t = Tournament(BinMatrix.zeros(1)) if h == 1 else \
                 circulant_tournament(h, set(range(1, k + 1)))
             bordered.append(cons.bordered_team_dsrg(t).params.as_tuple())
         assert bordered == [TABLE_3[0], TABLE_3[2], TABLE_3[4], TABLE_3[6]]
@@ -77,7 +78,7 @@ def test_criterion_3_table_3_reproduction():
 
 def test_criterion_4_isomorphism_remarks():
     with criterion(4, "order-8 graph unique; order-16 split", 30.0):
-        trivial = check_tournament(BinMatrix.zeros(1))
+        trivial = Tournament(BinMatrix.zeros(1))
         eight = [cons.bordered_team_dsrg(trivial).adj,
                  cons.cycle_sum_dsrg(1).adj, FIXTURE_8]
         for a, b in itertools.combinations(eight, 2):
@@ -154,7 +155,7 @@ def test_criterion_9_well_definedness():
         rng = random.Random(20260809)
         tournaments = {n: enumerate_regular_tournaments(n) for n in (3, 5, 7)}
         drts = [t for reps in tournaments.values() for t in reps
-                if t.doubly_regular_lambda is not None]
+                if is_doubly_regular_tournament(t) is not None]
         builders = [
             ("duval_b", cons.duval_b, None),
             ("duval_c", cons.duval_c, None),
@@ -172,7 +173,7 @@ def test_criterion_9_well_definedness():
             else:
                 t = rng.choice(pool)
             p = PermSpec(tuple(rng.sample(range(t.order), t.order)))
-            relabeled = check_tournament(conjugate_by_perm(t.adj, p))
+            relabeled = Tournament(conjugate_by_perm(t.adj, p))
             a = builder(t).adj
             b = builder(relabeled).adj
             assert are_isomorphic(a, b) is not None, (name, t.order, trial)

@@ -217,6 +217,13 @@ def test_construct_qr_bad_s_set_is_semantic_error():
     assert "difference-partition" in stderr and "Traceback" not in stderr
 
 
+def test_construct_lem5_rejects_non_doubly_regular():
+    code, stdout, stderr = run_cli("construct", "lem5", "--tournament",
+                                   "circulant:5:1,2")
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: order-5 tournament is not doubly regular\n"
+
+
 def test_construct_kron_rejects_t_not_mu(tmp_path):
     fixture = tmp_path / "f.adj"
     write_adj(FIXTURE_8, fixture)
@@ -295,7 +302,7 @@ def test_classify_groups_files(tmp_path):
     from dsrg import circulant_tournament
     from dsrg import constructions as cons
     l6 = cons.bordered_team_dsrg(
-        __import__("dsrg").check_tournament(BinMatrix.zeros(1))).adj
+        __import__("dsrg").Tournament(BinMatrix.zeros(1))).adj
     l7 = cons.cycle_sum_dsrg(1).adj
     l5_16 = cons.team_dsrg(circulant_tournament(3, {1})).adj
     l7_16 = cons.cycle_sum_dsrg(3).adj
@@ -314,7 +321,7 @@ def test_classify_groups_files(tmp_path):
 
 def test_classify_golden(tmp_path, monkeypatch, capsys):
     # pins the classes, their order, member order and certificate hashes
-    from dsrg import (PermSpec, check_tournament, circulant_tournament,
+    from dsrg import (PermSpec, Tournament, circulant_tournament,
                       conjugate_by_perm, paley_tournament)
     from dsrg import constructions as cons
     l7 = cons.cycle_sum_dsrg(1).adj
@@ -322,7 +329,7 @@ def test_classify_golden(tmp_path, monkeypatch, capsys):
     graphs = {
         "a.adj": l7,
         "b.adj": cons.bordered_team_dsrg(
-            check_tournament(BinMatrix.zeros(1))).adj,
+            Tournament(BinMatrix.zeros(1))).adj,
         "c.adj": conjugate_by_perm(l7, PermSpec((3, 0, 7, 1, 6, 2, 5, 4))),
         "d.adj": cons.team_dsrg(circulant_tournament(3, {1})).adj,
         "e.adj": cons.cycle_sum_dsrg(3).adj,
@@ -389,6 +396,22 @@ def test_qr_at_29_finishes():
                           timeout=20)
     assert proc.returncode == 0
     assert proc.stdout == "58 28 14 13 14\n"
+
+
+def test_qr_builds_up_to_the_cap_and_refuses_above_it():
+    code, stdout, _ = run_cli("qr-search", "--q", "37")
+    assert code == 0 and len(stdout.splitlines()) == 36
+    code, stdout, _ = run_cli("construct", "qr", "--q", "37")
+    assert code == 0 and stdout == "74 36 18 17 18\n"
+    # both construct paths and the listing refuse q = 1013 > 1009
+    for argv in (["construct", "qr", "--q", "1013"],
+                 ["construct", "qr", "--q", "1013", "--sigma1", "3",
+                  "--sigma2", "338", "--s-set", "1,4"],
+                 ["qr-search", "--q", "1013"]):
+        code, stdout, stderr = run_cli(*argv)
+        assert code == 2 and stdout == ""
+        assert stderr == "input error: q = 1013 exceeds the " \
+            "quadratic-residue cap 1009\n"
 
 
 def test_pq_search_cli():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsrg import (BinMatrix, PermSpec, are_isomorphic, block_compose,
-                  check_tournament, circulant_tournament, complement_graph,
+from dsrg import (BinMatrix, PermSpec, Tournament, are_isomorphic,
+                  block_compose, circulant_tournament, complement_graph,
                   conjugate_by_perm, cycle_power, duval_feasible,
                   enumerate_regular_tournaments, kronecker,
                   paley_tournament, verify_dsrg)
@@ -16,7 +16,7 @@ from known_graphs import FIXTURE_8, FIXTURE_10, FIXTURE_14
 PI3 = circulant_tournament(3, {1})
 Z5 = circulant_tournament(5, {1, 2})
 P7 = paley_tournament(7)
-TRIVIAL = check_tournament(BinMatrix.zeros(1))
+TRIVIAL = Tournament(BinMatrix.zeros(1))
 
 
 def test_paired_rows_parameters():
@@ -155,8 +155,18 @@ def test_qr_search_small():
     assert triples
     with pytest.raises(ValueError, match="prime q = 1"):
         cons.qr_search(7)
-    with pytest.raises(ValueError, match="bound"):
-        cons.qr_search(37)
+    assert cons.qr_search(37)[0] == (2, 19, cons.quadratic_residues(37))
+
+
+def test_qr_cap_refuses_before_building():
+    # 1013 is the first prime = 1 (mod 4) above the cap; the cap is
+    # checked before the arguments, so none of them is looked at
+    from dsrg import BoundExceeded
+    assert cons._QR_MAX_Q == 1009
+    with pytest.raises(BoundExceeded, match="cap 1009"):
+        cons.qr_dsrg(1013, 3, 338, ())
+    with pytest.raises(BoundExceeded, match="cap 1009"):
+        cons.qr_search(1013)
 
 
 @pytest.mark.parametrize("q", [5, 13, 17])
@@ -282,7 +292,7 @@ def test_pq_search_matches_brute_force():
                 rows[i][j] = 1
             else:
                 rows[j][i] = 1
-        tournaments.append(check_tournament(BinMatrix.from_rows(rows)))
+        tournaments.append(Tournament(BinMatrix.from_rows(rows)))
     for t in tournaments:
         assert cons.pq_search(t) == _pq_search_oracle(t)
 

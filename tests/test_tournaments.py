@@ -5,31 +5,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsrg import (BinMatrix, NotTournament, TeamProfile, Tournament,
-                  are_isomorphic, block_compose, check_tournament,
-                  circulant_tournament, complement_graph, cycle_power,
-                  cycle_sum_family, enumerate_regular_tournaments,
-                  is_doubly_regular_team, is_doubly_regular_tournament,
-                  mat_mul_count, paley_tournament, team_from_drt, team_lem6,
-                  verify_dsrg)
+from dsrg import (BinMatrix, NotTournament, PermSpec, TeamProfile,
+                  Tournament, are_isomorphic, block_compose,
+                  circulant_tournament, complement_graph, conjugate_by_perm,
+                  cycle_power, cycle_sum_family,
+                  enumerate_regular_tournaments, is_doubly_regular_team,
+                  is_doubly_regular_tournament, mat_mul_count,
+                  paley_tournament, team_lem6)
+from dsrg import constructions as cons
 
 
 def test_check_tournament_cycle():
-    t = check_tournament(cycle_power(3, 1))
+    t = Tournament(cycle_power(3, 1))
     assert t.valency == 1
 
 
 def test_check_tournament_circulant():
     t = circulant_tournament(5, {1, 2})
     assert t.valency == 2
-    assert check_tournament(t.adj).valency == 2
+    assert Tournament(t.adj).valency == 2
 
 
 def test_check_tournament_rejects_digon():
     full = complement_graph(BinMatrix.zeros(3))  # J - I
     with pytest.raises(NotTournament) as info:
-        check_tournament(full)
+        Tournament(full)
     assert info.value.pair == (0, 1)
+
+
+def test_tournament_is_certified_on_construction():
+    with pytest.raises(NotTournament, match="no arc in either direction"):
+        Tournament(BinMatrix.zeros(3))
+    with pytest.raises(ValueError, match="nonzero diagonal"):
+        Tournament(BinMatrix.identity(3))
+    # the valency is derived, never passed in
+    with pytest.raises(TypeError):
+        Tournament(paley_tournament(7).adj, 2)
+    assert Tournament(paley_tournament(7).adj).valency == 3
+    assert Tournament(BinMatrix.from_strings(
+        ["011", "000", "010"])).valency is None
 
 
 def test_tournament_complement_identity():
@@ -38,15 +52,15 @@ def test_tournament_complement_identity():
 
 
 def test_double_regularity():
-    assert is_doubly_regular_tournament(check_tournament(cycle_power(3, 1))) == 0
-    assert paley_tournament(7).doubly_regular_lambda == 1
+    assert is_doubly_regular_tournament(Tournament(cycle_power(3, 1))) == 0
+    assert is_doubly_regular_tournament(paley_tournament(7)) == 1
     assert is_doubly_regular_tournament(circulant_tournament(5, {1, 2})) is None
 
 
 def test_double_regularity_needs_regular():
     a = BinMatrix.from_strings(["00100", "10000", "01000", "11100", "11110"])
     with pytest.raises(ValueError):
-        is_doubly_regular_tournament(check_tournament(a))
+        is_doubly_regular_tournament(Tournament(a))
 
 
 def test_circulant_rejects_bad_connection_sets():
@@ -87,7 +101,9 @@ def test_cycle_sum_family_has_commuting_transposer():
 
 
 def test_team_from_drt_profile():
-    d = team_from_drt(circulant_tournament(3, {1}))
+    t = circulant_tournament(3, {1})
+    assert is_doubly_regular_tournament(t) is not None
+    d = team_lem6(t)
     assert d.n == 8
     prof = is_doubly_regular_team(d)
     assert prof is not None
@@ -95,7 +111,9 @@ def test_team_from_drt_profile():
 
 
 def test_team_from_drt_paley_7():
-    d = team_from_drt(paley_tournament(7))
+    t = paley_tournament(7)
+    assert is_doubly_regular_tournament(t) is not None
+    d = team_lem6(t)
     assert d.n == 16
     prof = is_doubly_regular_team(d)
     assert prof is not None and prof.k == 7
@@ -103,15 +121,18 @@ def test_team_from_drt_paley_7():
 
 
 def test_team_from_drt_rejects_non_drt():
-    with pytest.raises(ValueError, match="doubly regular"):
-        team_from_drt(circulant_tournament(5, {1, 2}))
+    t = circulant_tournament(5, {1, 2})
+    assert is_doubly_regular_tournament(t) is None
+    with pytest.raises(ValueError, match="not doubly regular"):
+        cons.team_dsrg(t)
 
 
 def test_team_identities():
     # D^2 = (2L+1)(D+D^T) + (4L+3)(J-I-D-D^T), DD^T = (4L+3)I + (2L+1)(D+D^T)
-    for t, lam in ((check_tournament(cycle_power(3, 1)), 0),
+    for t, lam in ((Tournament(cycle_power(3, 1)), 0),
                    (paley_tournament(7), 1)):
-        d = team_from_drt(Tournament(t.adj, t.valency, lam))
+        assert is_doubly_regular_tournament(t) == lam
+        d = team_lem6(t)
         n = d.n
         dt = d.transpose()
         sq = mat_mul_count(d, d)
@@ -131,8 +152,8 @@ def test_team_identities():
 def test_team_lem6_block_identity():
     # D + D^T tiles as J-I in (h+1)-blocks and
     # D^2 + DD^T + D + D^T = h*J
-    for t in (check_tournament(BinMatrix.zeros(1)),
-              check_tournament(cycle_power(3, 1)),
+    for t in (Tournament(BinMatrix.zeros(1)),
+              Tournament(cycle_power(3, 1)),
               circulant_tournament(5, {1, 2})):
         h = t.order
         d = team_lem6(t)
@@ -184,14 +205,39 @@ def test_bordered_layout_matches_block_oracle():
     assert len(tournaments) == 26
     for t in tournaments:
         assert team_lem6(t) == _bordered_layout_oracle(t.adj)
-        if t.doubly_regular_lambda is not None:
-            assert team_from_drt(t) == _bordered_layout_oracle(t.adj)
+        if is_doubly_regular_tournament(t) is not None:
+            assert team_lem6(t) == _bordered_layout_oracle(t.adj)
+
+
+def regular_classes():
+    return [t for n in range(1, 12, 2) for t in canonical_classes(n).values()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lem5_is_lem6_over_doubly_regular_tournaments(data):
+    # a relabelled class of order <= 11 (mostly not doubly regular) or a
+    # relabelled Paley tournament (always doubly regular)
+    t = data.draw(st.one_of(
+        st.sampled_from(regular_classes()),
+        st.sampled_from([paley_tournament(q) for q in (3, 7, 11, 19, 23)])))
+    p = PermSpec(tuple(data.draw(st.permutations(range(t.order)))))
+    t = Tournament(conjugate_by_perm(t.adj, p))
+    if is_doubly_regular_tournament(t) is None:
+        # a ValueError naming the order, never _result's AssertionError
+        with pytest.raises(ValueError, match=f"order-{t.order} tournament "
+                                             f"is not doubly regular"):
+            cons.team_dsrg(t)
+    else:
+        lem5 = cons.team_dsrg(t)
+        assert lem5.method == "lem5"
+        assert lem5.adj == cons.bordered_team_dsrg(t).adj
 
 
 def test_team_lem6_rejects_irregular():
     a = BinMatrix.from_strings(["00100", "10000", "01000", "11100", "11110"])
     with pytest.raises(ValueError, match="regular"):
-        team_lem6(check_tournament(a))
+        team_lem6(Tournament(a))
 
 
 def test_degenerate_team_is_tournament_check():
@@ -303,7 +349,8 @@ def test_enumeration_order_9_class_count():
     reps = enumerate_regular_tournaments(9)
     assert len(reps) == 15
     assert all(t.valency == 4 for t in reps)
-    assert all(t.doubly_regular_lambda is None for t in reps)  # 9 != 3 mod 4
+    assert all(is_doubly_regular_tournament(t) is None
+               for t in reps)  # 9 != 3 mod 4
 
 
 def test_enumeration_refuses_large_order():
@@ -318,9 +365,9 @@ def canonical_classes(n):
 
 def test_order_11_has_one_doubly_regular_class():
     doubly = [t for t in canonical_classes(11).values()
-              if t.doubly_regular_lambda == 2]
+              if is_doubly_regular_tournament(t) == 2]
     assert len(doubly) == 1
-    assert all(t.doubly_regular_lambda in (None, 2)
+    assert all(is_doubly_regular_tournament(t) in (None, 2)
                for t in canonical_classes(11).values())
     assert are_isomorphic(doubly[0].adj, paley_tournament(11).adj) is not None
 
@@ -350,7 +397,7 @@ def reverse_three_cycles(n, picks):
 def test_random_regular_tournament_is_enumerated(n, picks):
     from dsrg import canonical_form
     walked = reverse_three_cycles(n, picks)
-    t = check_tournament(walked)
+    t = Tournament(walked)
     assert t.valency == (n - 1) // 2
     assert canonical_form(walked).canonical in canonical_classes(n)
 
@@ -480,7 +527,7 @@ def test_double_regularity_matches_oracle_on_all_small_orders():
                 _is_doubly_regular_tournament_oracle(t)
     for q in (3, 7, 11, 19, 23):
         t = paley_tournament(q)
-        plain = Tournament(t.adj, t.valency)
+        plain = Tournament(t.adj)
         assert is_doubly_regular_tournament(plain) == \
             _is_doubly_regular_tournament_oracle(plain) == (q - 3) // 4
 
@@ -508,7 +555,7 @@ def test_team_profile_matches_oracle_on_layouts_and_perturbations():
                    for t in enumerate_regular_tournaments(n)]
     tournaments += [paley_tournament(q) for q in (7, 11)]
     layouts = [team_lem6(t) for t in tournaments]
-    layouts += [team_from_drt(t) for t in tournaments
+    layouts += [team_lem6(t) for t in tournaments
                 if is_doubly_regular_tournament(t) is not None]
     layouts += [t.adj for t in tournaments]
     # an oriented complete multipartite graph that is not a team layout
