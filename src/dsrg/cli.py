@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import constructions as cons
 from . import groups as grp
@@ -34,26 +34,36 @@ from .tournaments import (ENUMERATION_LIMIT, NotTournament, Tournament,
 FEASIBLE_MAX_N = 1000
 
 
-def parse_tournament(desc: str) -> tuple[Tournament, str]:
-    """Tournament descriptors: circulant:N:e1,e2  paley:Q  standard:N  adj:PATH."""
+def parse_tournament(desc: str, vertices: Callable[[int], int] = int
+                     ) -> tuple[Tournament, str]:
+    """Tournament descriptors: circulant:N:e1,e2  paley:Q  standard:N  adj:PATH.
+
+    ``vertices`` maps the order of the tournament to that of the graph
+    built over it; a descriptor whose graph would exceed cons.MAX_VERTICES
+    is refused before the tournament is built.
+    """
     kind, _, rest = desc.partition(":")
+    if kind not in ("circulant", "standard", "paley", "adj"):
+        raise InputError(f"unknown tournament descriptor kind {kind!r} "
+                         f"(use circulant/standard/paley/adj)")
     try:
+        if kind == "adj":
+            adj = read_adj(rest)
+            cons.check_vertex_cap(vertices(adj.n))
+            return Tournament(adj), desc
+        n_text, _, conn_text = rest.partition(":")
+        n = int(n_text if kind == "circulant" else rest)
+        cons.check_vertex_cap(vertices(n))
         if kind == "circulant":
-            n_text, _, conn_text = rest.partition(":")
-            n = int(n_text)
             conn = {int(e) for e in conn_text.split(",") if e}
             return circulant_tournament(n, conn), desc
         if kind == "standard":
-            n = int(rest)
             return circulant_tournament(n, set(range(1, (n + 1) // 2))), desc
-        if kind == "paley":
-            return paley_tournament(int(rest)), desc
-        if kind == "adj":
-            return Tournament(read_adj(rest)), desc
+        return paley_tournament(n), desc
+    except iso.BoundExceeded:
+        raise
     except (ValueError, OSError) as exc:
         raise InputError(f"bad tournament descriptor {desc!r}: {exc}") from exc
-    raise InputError(f"unknown tournament descriptor kind {kind!r} "
-                     f"(use circulant/standard/paley/adj)")
 
 
 def parse_perm(spec: str, n: int) -> PermSpec:
@@ -68,14 +78,20 @@ def parse_perm(spec: str, n: int) -> PermSpec:
 
 
 def parse_group(desc: str) -> grp.GroupTable:
+    """Group descriptors: cyclic:N  dihedral:N  symmetric:N; a group of more
+    than cons.MAX_VERTICES elements is refused before its table is built."""
     kind, _, rest = desc.partition(":")
     try:
         if kind == "cyclic":
+            cons.check_vertex_cap(int(rest))
             return grp.cyclic_group(int(rest))
         if kind == "dihedral":
+            cons.check_vertex_cap(2 * int(rest))
             return grp.dihedral_group(int(rest))
         if kind == "symmetric":
             return grp.symmetric_group(int(rest))
+    except iso.BoundExceeded:
+        raise
     except ValueError as exc:
         raise InputError(f"bad group descriptor {desc!r}: {exc}") from exc
     raise InputError(f"unknown group descriptor kind {kind!r} "
@@ -99,7 +115,9 @@ def _construct(args: argparse.Namespace) -> cons.ConstructionResult:
     if method in ("duval-b", "duval-c", "m", "lem5", "lem6"):
         if not args.tournament:
             raise InputError(f"{method} needs --tournament")
-        t, label = parse_tournament(args.tournament)
+        lem = method in ("lem5", "lem6")
+        t, label = parse_tournament(
+            args.tournament, (lambda n: 4 * (n + 1)) if lem else (lambda n: 2 * n))
         fn = {"duval-b": cons.duval_b, "duval-c": cons.duval_c,
               "m": cons.m_construction, "lem5": cons.team_dsrg,
               "lem6": cons.bordered_team_dsrg}[method]
@@ -107,12 +125,13 @@ def _construct(args: argparse.Namespace) -> cons.ConstructionResult:
     if method in ("wide", "tall"):
         if not args.tournament or args.w is None:
             raise InputError(f"{method} needs --tournament and --w")
-        t, label = parse_tournament(args.tournament)
+        t, label = parse_tournament(args.tournament, lambda n: 2 * n * args.w)
         fn = cons.wide_blocks if method == "wide" else cons.tall_blocks
         return fn(t, args.w, label)
     if method == "lem7":
         if args.s is None:
             raise InputError("lem7 needs --s")
+        cons.check_vertex_cap(4 * (args.s + 1))
         return cons.cycle_sum_dsrg(args.s)
     if method == "qr":
         if args.q is None:
@@ -128,13 +147,14 @@ def _construct(args: argparse.Namespace) -> cons.ConstructionResult:
     if method == "pq":
         if not args.tournament:
             raise InputError("pq needs --tournament")
-        t, label = parse_tournament(args.tournament)
+        t, label = parse_tournament(args.tournament, lambda n: 2 * n)
         perm = parse_perm(args.perm or "reversal", t.order)
         return cons.pq_dsrg(t, perm, f"{label},p={args.perm or 'reversal'}")
     if method == "kron":
         if not args.input or args.m is None:
             raise InputError("kron needs --input and --m")
         base = read_adj(args.input)
+        cons.check_vertex_cap(base.n * args.m)
         return cons.kronecker_expand(base, args.m, args.side, args.input)
     if method == "cayley":
         if not args.group or not args.conn:
@@ -146,6 +166,7 @@ def _construct(args: argparse.Namespace) -> cons.ConstructionResult:
     if method == "hobart-shaw":
         if args.lam is None or not args.parity:
             raise InputError("hobart-shaw needs --lam and --parity")
+        cons.check_vertex_cap(4 * args.lam + 2 * (args.parity == "odd"))
         return grp.hobart_shaw(args.lam, args.parity)
     raise InputError(f"unknown method {method!r}")
 

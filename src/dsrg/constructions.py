@@ -190,8 +190,17 @@ def _check_difference_partition(q: int, m: int, s_set: frozenset[int]) -> None:
 
 
 # dsrg construct qr --q 1009 (2,018 vertices) takes 2.0-2.5 s at a peak RSS
-# of 188 MB (2-vCPU Xeon, Python 3.11); time grows as q^3 and memory as q^2
-_QR_MAX_Q = 1009
+# of 188 MB, and lem6 over standard:501 (2,008 vertices) 2.1 s at 183 MB
+# (2-vCPU Xeon, Python 3.11); time grows as n^3 and memory as n^2
+MAX_VERTICES = 2018
+_QR_MAX_Q = MAX_VERTICES // 2
+
+
+def check_vertex_cap(n: int) -> None:
+    """Refuse a graph of more than MAX_VERTICES vertices before it is built."""
+    if n > MAX_VERTICES:
+        raise BoundExceeded(f"the graph would have {n} vertices, above the "
+                            f"cap {MAX_VERTICES}")
 
 
 def _check_qr_modulus(q: int) -> None:

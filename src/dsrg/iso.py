@@ -3,11 +3,14 @@
 The engine is classical individualization-refinement: vertices are colored
 by iterated in/out neighborhood histograms, and when refinement stalls a
 vertex of the smallest non-singleton color class is individualized and the
-search branches.  Refinement is driven by splitter cells: after a first
-round against every cell, each round counts neighbors only in the cells
-that have just split, which yields the same colorings as recounting
-against every cell.  ``are_isomorphic`` runs the two graphs in lockstep and
-returns an explicit relabeling witness; ``canonical_form`` minimizes the
+search branches.  Refinement is driven by splitter cells: each round
+counts neighbors only in the cells that have just split, which yields the
+same colorings as recounting against every cell.  The root starts from
+every cell; a child node starts from its new singleton alone, since its
+parent coloring was already stable.  ``are_isomorphic`` runs the two
+graphs in lockstep for at most one search node per vertex and then
+compares canonical forms; either way it returns an explicit relabeling
+witness, checked by ``conjugate_by_perm``.  ``canonical_form`` minimizes the
 relabeled matrix over the leaves of the search tree (in shell order: row
 and column fragments of the leading fixed vertices), pruning with
 automorphisms discovered along the way.  The shells of a node are gathered
@@ -31,7 +34,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .matrix import BinMatrix, InputError, PermSpec, conjugate_by_perm
+from .matrix import (BinMatrix, InputError, PermSpec, _relabeled_rows,
+                     conjugate_by_perm)
 
 DEFAULT_BOUND = 48
 
@@ -58,7 +62,9 @@ def _graph_bits(a: BinMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _refine_joint(graphs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
-                  colorings: Sequence[list[int]]) -> list[list[int]] | None:
+                  colorings: Sequence[list[int]],
+                  first: Sequence[int] | None = None
+                  ) -> list[list[int]] | None:
     """Stable joint color refinement.
 
     A vertex's signature is its color followed by its in and out counts
@@ -68,19 +74,30 @@ def _refine_joint(graphs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
     multisets of the graphs diverge (then no isomorphism can respect the
     colorings).
 
-    The first round uses every cell as a splitter; each later round uses
-    only the cells whose parent color split in the round before.  Counts
-    against any other cell were already part of an earlier signature, so
-    they are constant on every current cell (and equal across the graphs)
-    and cannot change the order of the signatures, their number or the
-    multiset check.  A discrete coloring is stable and is returned at once.
+    The first round uses the cells in ``first`` as splitters, by default
+    every cell; each later round uses only the cells whose parent color
+    split in the round before.  Counts against any other cell were already
+    part of an earlier signature, so they are constant on every current
+    cell (and equal across the graphs) and cannot change the order of the
+    signatures, their number or the multiset check.  A discrete coloring
+    is stable and is returned at once.
+
+    A child node passes ``first=[cell]``: ``_individualize`` left its
+    vertex v alone at id ``cell`` and the rest of v's old cell at
+    ``cell + 1``.  The parent coloring was stable, so counts against every
+    other cell are constant on each cell and equal across the graphs, and
+    counts against the rest of the old cell are those against the old cell
+    minus those against {v}.  Counts against {v} therefore fix the full
+    signature, and they are its first digits that can differ within a
+    cell, so the partition, the color ids and the multiset check all come
+    out as with every cell as a splitter.
     """
     n = len(colorings[0])
     base = n + 1
     base2 = base * base
     colorings = [list(c) for c in colorings]
     ncolors = max(max(c) for c in colorings) + 1
-    splitters: Sequence[int] = range(ncolors)
+    splitters: Sequence[int] = range(ncolors) if first is None else first
     while True:
         sigs_all: list[list[int]] = []
         for (rows, cols), colors in zip(graphs, colorings):
@@ -140,7 +157,11 @@ def _target_cell(colors: Sequence[int]) -> int | None:
     return best
 
 
-_MAPPING_SEARCH_BUDGET = 4000
+# Lockstep search nodes per vertex before are_isomorphic compares canonical
+# forms instead.  Isomorphic pairs rarely need more than n nodes; a
+# non-isomorphic pair of equal refinement can need many times more, where
+# two canonical forms cost a few milliseconds.
+_MAPPING_SEARCH_BUDGET = 1
 
 
 class _SearchBudgetExceeded(Exception):
@@ -153,7 +174,8 @@ def are_isomorphic(a: BinMatrix, b: BinMatrix,
 
     Returns the witness permutation, or None when the graphs are not
     isomorphic.  A direct refinement-guided mapping search runs first;
-    highly symmetric pairs that exhaust its node budget are settled by
+    pairs that exhaust its budget of _MAPPING_SEARCH_BUDGET nodes per
+    vertex (highly symmetric or non-isomorphic ones) are settled by
     comparing canonical forms instead (whose labelings also yield the
     witness), so the test is exhaustive either way.
     """
@@ -169,7 +191,7 @@ def are_isomorphic(a: BinMatrix, b: BinMatrix,
     if refined is None:
         return None
 
-    nodes_left = _MAPPING_SEARCH_BUDGET
+    nodes_left = _MAPPING_SEARCH_BUDGET * n
 
     def verified(colors_a: list[int], colors_b: list[int]) -> PermSpec | None:
         by_color_b = [0] * n
@@ -190,7 +212,8 @@ def are_isomorphic(a: BinMatrix, b: BinMatrix,
             nodes_left -= 1
             child = _refine_joint(
                 [ga, gb],
-                [_individualize(colors_a, u), _individualize(colors_b, v)])
+                [_individualize(colors_a, u), _individualize(colors_b, v)],
+                [cell])
             if child is None:
                 continue
             found = search(child[0], child[1])
@@ -356,7 +379,8 @@ class _CanonicalSearch:
             if root in tried:
                 continue
             tried.add(root)
-            child = _refine_joint([self.graph], [_individualize(colors, v)])
+            child = _refine_joint([self.graph], [_individualize(colors, v)],
+                                  [cell])
             assert child is not None
             self.branches.append(v)
             jump = self._visit(child[0], depth + 1)
@@ -397,13 +421,7 @@ def _canonical(graph: tuple[tuple[int, ...], tuple[int, ...]]
         colors = [sizes.index(len(m)) for m in members]
         order = [v for c in _CanonicalSearch(quotient, colors).run()
                  for v in members[c]]
-    # bit c of canonical row r is bit order[c] of row order[r]; gather the
-    # bits from each row's binary string, most significant column first
-    fmt = f"0{n}b"
-    gather = itemgetter(*[n - 1 - v for v in reversed(order)])
-    canonical = tuple(int("".join(gather(format(rows[v], fmt))), 2)
-                      for v in order)
-    return BinMatrix(n, canonical), order
+    return BinMatrix(n, _relabeled_rows(rows, order)), order
 
 
 def canonical_form(a: BinMatrix, bound: int = DEFAULT_BOUND) -> IsoCertificate:

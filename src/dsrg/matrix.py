@@ -13,6 +13,7 @@ matrices can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -275,6 +276,18 @@ def block_compose(layout: Sequence[Sequence[BinMatrix]]) -> BinMatrix:
         for row in layout for i in range(m)))
 
 
+def _relabeled_rows(rows: Sequence[int],
+                    order: Sequence[int]) -> tuple[int, ...]:
+    """Rows of the matrix whose entry (r, c) is entry (order[r], order[c])."""
+    # bit c of row r is bit order[c] of row order[r]; gather the bits from
+    # each row's binary string, most significant column first (one index
+    # makes itemgetter return a character, which join reads alike)
+    n = len(order)
+    fmt = f"0{n}b"
+    gather = itemgetter(*[n - 1 - v for v in reversed(order)])
+    return tuple(int("".join(gather(format(rows[v], fmt))), 2) for v in order)
+
+
 def conjugate_by_perm(a: BinMatrix, p: PermSpec) -> BinMatrix:
     """Relabel vertices: result[p(i)][p(j)] = a[i][j].
 
@@ -282,13 +295,4 @@ def conjugate_by_perm(a: BinMatrix, p: PermSpec) -> BinMatrix:
     """
     if len(p) != a.n:
         raise DimensionError(f"permutation length {len(p)} != order {a.n}")
-    images = p.images
-    rows = [0] * a.n
-    for i, r in enumerate(a.rows):
-        target = 0
-        while r:
-            low = r & -r
-            target |= 1 << images[low.bit_length() - 1]
-            r ^= low
-        rows[images[i]] = target
-    return BinMatrix(a.n, tuple(rows))
+    return BinMatrix(a.n, _relabeled_rows(a.rows, p.inverse().images))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from . import iso
@@ -75,6 +76,14 @@ class Tournament:
     def is_regular(self) -> bool:
         return self.valency is not None
 
+    @cached_property
+    def _double_regularity(self) -> int | None:
+        # is_doubly_regular_tournament's answer, verified once per tournament
+        if self.order % 4 != 3:
+            return None
+        params = try_verify_dsrg(self.adj)
+        return None if params is None else params.lam
+
 
 @dataclass(frozen=True)
 class TeamProfile:
@@ -95,13 +104,11 @@ def is_doubly_regular_tournament(t: Tournament) -> int | None:
     out-neighbours, which for a tournament (A^T = J - I - A) says
     A^2 = lam*A + (lam+1)(J - I - A), a DSRG with t = 0; counting 3-cycles
     shows that a regular tournament is a DSRG only with these parameters.
+    The answer is kept on t, so each tournament is verified once.
     """
     if not t.is_regular:
         raise ValueError("double regularity is defined for regular tournaments")
-    if t.order % 4 != 3:
-        return None
-    params = try_verify_dsrg(t.adj)
-    return None if params is None else params.lam
+    return t._double_regularity
 
 
 def circulant_tournament(n: int, conn: Iterable[int]) -> Tournament:

@@ -414,6 +414,45 @@ def test_qr_builds_up_to_the_cap_and_refuses_above_it():
             "quadratic-residue cap 1009\n"
 
 
+def test_vertex_cap_refuses_before_building(capsys):
+    # one cap for every construct method: qr's 2,018 vertices at q = 1009
+    from dsrg import cli
+    from dsrg import constructions as cons
+    from dsrg import groups as grp
+    assert cons.MAX_VERTICES == 2 * cons._QR_MAX_Q == 2018
+    never = {"side_effect": AssertionError("built")}
+    with mock.patch.object(cli, "circulant_tournament", **never), \
+            mock.patch.object(cons, "cycle_sum_dsrg", **never), \
+            mock.patch.object(grp, "hobart_shaw", **never), \
+            mock.patch.object(grp, "cyclic_group", **never), \
+            mock.patch.object(grp, "dihedral_group", **never):
+        for argv, n in ((["lem6", "--tournament", "standard:505"], 2024),
+                        (["lem5", "--tournament", "standard:2001"], 8008),
+                        (["m", "--tournament", "circulant:1011:1"], 2022),
+                        (["wide", "--tournament", "standard:5", "--w",
+                          "202"], 2020),
+                        (["tall", "--tournament", "standard:7", "--w",
+                          "1000000000"], 14000000000),
+                        (["lem7", "--s", "504"], 2020),
+                        (["hobart-shaw", "--lam", "505", "--parity",
+                          "even"], 2020),
+                        (["cayley", "--group", "cyclic:100000000", "--conn",
+                          "1"], 100000000),
+                        (["cayley", "--group", "dihedral:1010", "--conn",
+                          "1"], 2020)):
+            assert main(["construct", *argv]) == 2
+            assert capsys.readouterr() == (
+                "", f"input error: the graph would have {n} vertices, "
+                    f"above the cap 2018\n")
+
+
+def test_vertex_cap_leaves_smaller_graphs_alone():
+    # lem6 over standard:251 has 1,008 vertices
+    code, stdout, _ = run_cli("construct", "lem6", "--tournament",
+                              "standard:251")
+    assert code == 0 and stdout == "1008 503 252 251 251\n"
+
+
 def test_pq_search_cli():
     code, stdout, _ = run_cli("pq-search", "--tournament", "circulant:5:1,2")
     assert code == 0
@@ -486,6 +525,18 @@ def test_duval_b_built_once_per_tournament():
     built = [r for r in results if r.method == "duval_B"]
     assert spy.call_count == len(built) > 0
     assert any(r.method == "kron" for r in results)
+
+
+def test_double_regularity_tested_once_per_source():
+    # the sources of order 3 (mod 4) at 48: enum:3:0, the three of enum:7,
+    # standard:11 and paley:11; three are doubly regular and build lem5
+    from dsrg import tournaments
+    from dsrg.cli import all_construction_results
+    with mock.patch.object(tournaments, "try_verify_dsrg",
+                           wraps=tournaments.try_verify_dsrg) as spy:
+        results = all_construction_results(48)
+    assert spy.call_count == 6
+    assert sum(r.method == "lem5" for r in results) == 3
 
 
 def _failing_lem6(t, label=None):

@@ -1,9 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsrg import (BinMatrix, PermSpec, are_isomorphic, canonical_form,
@@ -12,6 +17,8 @@ from dsrg import (BinMatrix, PermSpec, are_isomorphic, canonical_form,
                   find_commuting_transposer, paley_tournament)
 from dsrg import constructions as cons
 from dsrg import iso
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def random_digraph(rng, n):
@@ -314,6 +321,45 @@ def test_invalid_canonical_witness_raises():
             are_isomorphic(a, b)
 
 
+def test_invalid_canonical_witness_raises_under_python_O():
+    # the same scenario with asserts stripped: the re-check still raises
+    script = textwrap.dedent("""
+        from unittest import mock
+        from dsrg import (BinMatrix, PermSpec, are_isomorphic,
+                          conjugate_by_perm, cycle_power, iso)
+        assert False, "asserts are not stripped"
+        a = cycle_power(5, 1)
+        b = conjugate_by_perm(a, PermSpec((0, 2, 1, 3, 4)))
+        bogus = (BinMatrix.zeros(5), list(range(5)))
+        with mock.patch.object(iso, "_MAPPING_SEARCH_BUDGET", 0), \\
+                mock.patch.object(iso, "_canonical", return_value=bogus):
+            try:
+                are_isomorphic(a, b)
+            except AssertionError as exc:
+                print(exc)
+        """)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "equal canonical forms gave an invalid witness\n"
+
+
+def test_equal_parameter_lem6_pair_at_48():
+    # lem6 over standard:11 and over paley:11 share (48, 23, 12, 11, 11)
+    # and refine alike; the lockstep search uses up its budget on the pair
+    a = cons.bordered_team_dsrg(circulant_tournament(11, range(1, 6))).adj
+    b = cons.bordered_team_dsrg(paley_tournament(11)).adj
+    p = PermSpec(tuple(random.Random(48).sample(range(48), 48)))
+    for budget in (iso._MAPPING_SEARCH_BUDGET, 0):
+        with mock.patch.object(iso, "_MAPPING_SEARCH_BUDGET", budget):
+            assert are_isomorphic(a, b) is None
+            for g in (a, b):
+                copy = conjugate_by_perm(g, p)
+                w = are_isomorphic(g, copy)
+                assert w is not None and conjugate_by_perm(g, w) == copy
+
+
 # -- property tests on graphs with twins -------------------------------------
 
 
@@ -538,6 +584,85 @@ def test_refine_joint_matches_full_signature_oracle(inputs):
     assert len(graphs) == 2 and expected is None and got is not None
     assert all(sorted(c) == list(range(n)) for c in got)
     assert not _color_matching_is_isomorphism(graphs, got)
+
+
+@st.composite
+def circulant_unions(draw, n):
+    """Two circulants of one valency side by side: regular, so refinement
+    cannot tell the parts apart, and seldom vertex-transitive."""
+    n1 = draw(st.integers(1, n - 1))
+    k = draw(st.integers(0, min(n1, n - n1) - 1))
+    rows = []
+    for offset, size in ((0, n1), (n1, n - n1)):
+        shifts = draw(st.sets(st.integers(1, size - 1), min_size=k,
+                              max_size=k)) if k else set()
+        rows.extend(sum(1 << offset + (i + d) % size for d in shifts)
+                    for i in range(size))
+    return BinMatrix(n, tuple(rows))
+
+
+@st.composite
+def individualized_children(draw):
+    """Child nodes as the searches make them: a stable coloring (joint for a
+    relabeled copy, perhaps with one arc flipped) with a vertex of one
+    non-singleton cell individualized in each graph.  Returns the graphs,
+    the child colorings and the cell, or None when the stable coloring is
+    discrete or the flipped copy refines apart."""
+    n = draw(st.integers(2, 14))
+    a = draw(st.one_of(small_digraphs(n), circulant_unions(n)))
+    start = draw(st.one_of(
+        st.just([0] * n),
+        st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    graphs, parents = [iso._graph_bits(a)], [start]
+    kind = draw(st.sampled_from(["single", "relabeled", "flipped"]))
+    if kind != "single":
+        p = draw(st.permutations(range(n)))
+        rows = list(conjugate_by_perm(a, PermSpec(tuple(p))).rows)
+        if kind == "flipped":
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            rows[i] ^= 1 << j
+        start_b = [0] * n
+        for v in range(n):
+            start_b[p[v]] = start[v]
+        graphs.append(iso._graph_bits(BinMatrix(n, tuple(rows))))
+        parents.append(start_b)
+    stable = full_signature_refinement(graphs, parents)
+    if stable is None:
+        return None
+    sizes = iso._cell_sizes(stable[0])
+    cells = [c for c, size in enumerate(sizes) if size > 1]
+    if not cells:
+        return None
+    cell = draw(st.sampled_from(cells))
+    children = [iso._individualize(colors, draw(st.sampled_from(
+        [v for v in range(n) if colors[v] == cell]))) for colors in stable]
+    return graphs, children, cell
+
+
+# a 3-cycle beside a 5-cycle, with a vertex of each individualized: a
+# child the joint refinement rejects
+_CYCLES_3_5 = iso._graph_bits(BinMatrix(8, tuple(
+    [1 << (i + 1) % 3 for i in range(3)]
+    + [1 << 3 + (i + 1) % 5 for i in range(5)])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(individualized_children())
+@example(([_CYCLES_3_5, _CYCLES_3_5],
+          [[0, 1, 1, 1, 1, 1, 1, 1], [1, 1, 1, 0, 1, 1, 1, 1]], 0))
+def test_refine_joint_from_new_singleton_matches_oracle(inputs):
+    if inputs is None:
+        return
+    graphs, colorings, cell = inputs
+    got = iso._refine_joint(graphs, colorings, [cell])
+    assert got == iso._refine_joint(graphs, colorings)
+    expected = full_signature_refinement(graphs, colorings)
+    if got != expected:
+        # a discrete coloring returns at once; see the oracle test above
+        n = len(colorings[0])
+        assert len(graphs) == 2 and expected is None and got is not None
+        assert all(sorted(c) == list(range(n)) for c in got)
+        assert not _color_matching_is_isomorphism(graphs, got)
 
 
 # -- property tests on twin-free graphs --------------------------------------

@@ -154,6 +154,34 @@ def test_conjugate_group_action():
     assert conjugate_by_perm(conjugate_by_perm(a, p), p.inverse()) == a
 
 
+def _conjugate_per_bit(a, p):
+    rows = [0] * a.n
+    for i in range(a.n):
+        for j in range(a.n):
+            if a.entry(i, j):
+                rows[p(i)] |= 1 << p(j)
+    return BinMatrix(a.n, tuple(rows))
+
+
+@st.composite
+def matrix_and_perm(draw):
+    # orders either side of the 64-bit limb and of twice it
+    n = draw(st.one_of(st.integers(1, 130),
+                       st.sampled_from([63, 64, 65, 127, 128, 129, 130])))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    return BinMatrix(n, tuple(rows)), PermSpec(tuple(draw(
+        st.permutations(range(n)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_and_perm())
+def test_conjugate_matches_per_bit_reference(inputs):
+    a, p = inputs
+    b = conjugate_by_perm(a, p)
+    assert b == _conjugate_per_bit(a, p)
+    assert conjugate_by_perm(b, p.inverse()) == a
+
+
 def test_conjugate_preserves_invariants():
     rng = random.Random(6)
     a = random_binmatrix(rng, 9)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,16 @@ def test_double_regularity():
     assert is_doubly_regular_tournament(Tournament(cycle_power(3, 1))) == 0
     assert is_doubly_regular_tournament(paley_tournament(7)) == 1
     assert is_doubly_regular_tournament(circulant_tournament(5, {1, 2})) is None
+
+
+def test_double_regularity_is_verified_once_per_tournament():
+    from dsrg import tournaments
+    t = paley_tournament(11)
+    with mock.patch.object(tournaments, "try_verify_dsrg",
+                           wraps=tournaments.try_verify_dsrg) as spy:
+        assert is_doubly_regular_tournament(t) == 2
+        assert cons.team_dsrg(t).params.as_tuple() == (48, 23, 12, 11, 11)
+    assert spy.call_count == 1
 
 
 def test_double_regularity_needs_regular():
