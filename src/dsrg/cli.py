@@ -72,9 +72,12 @@ def parse_perm(spec: str, n: int) -> PermSpec:
     if spec == "identity":
         return PermSpec.identity(n)
     try:
-        return PermSpec(tuple(int(x) for x in spec.split(",")))
+        perm = PermSpec(tuple(int(x) for x in spec.split(",")))
+        if len(perm) != n:
+            raise ValueError(f"{len(perm)} images for order {n}")
     except ValueError as exc:
         raise InputError(f"bad permutation {spec!r}: {exc}") from exc
+    return perm
 
 
 def parse_group(desc: str) -> grp.GroupTable:
@@ -269,7 +272,9 @@ def all_construction_results(max_n: int,
                              failures: list[str] | None = None
                              ) -> list[cons.ConstructionResult]:
     """Run every construction over its enumerable inputs up to max_n
-    vertices, in a fixed deterministic order.
+    vertices, in a fixed order, one route per graph: over each regular
+    tournament T duval_B, duval_C, m_of, the wide pattern as kron(duval_B(T),
+    w, left), tall(T, w), lem6, lem5, pq; then lem7, qr, cayley, Hobart-Shaw.
 
     A construction that rejects its input is recorded in ``failures``
     (when given) instead of aborting the run.
@@ -287,22 +292,22 @@ def all_construction_results(max_n: int,
         results.append(result)
         return result
 
-    tournament_cache = {order: _tournament_sources(order)
-                        for order in range(3, 18, 2)}
-    for order, sources in tournament_cache.items():
+    for order in range(3, 18, 2):
         k = (order - 1) // 2
-        for t, label in sources:
-            base = None
+        for t, label in _tournament_sources(order):
             if 4 * k + 2 <= max_n:
                 base = attempt(lambda: cons.duval_b(t, label),
                                f"duval_B({label})")
                 attempt(lambda: cons.duval_c(t, label), f"duval_C({label})")
                 attempt(lambda: cons.m_construction(t, label), f"m_of({label})")
-            for w in range(2, max_n // (4 * k + 2) + 1):
-                attempt(lambda w=w: cons.wide_blocks(t, w, label),
-                        f"wide({label},w={w})")
-                attempt(lambda w=w: cons.tall_blocks(t, w, label),
-                        f"tall({label},w={w})")
+                for w in range(2, max_n // (4 * k + 2) + 1):
+                    # J_w x base is wide_blocks(T, w); base x J_w relabels it
+                    if base is not None:
+                        attempt(lambda w=w: cons.kronecker_expand(
+                            base.adj, w, "left", f"duval_B({label})"),
+                            f"kron(duval_B({label}),m={w},left)")
+                    attempt(lambda w=w: cons.tall_blocks(t, w, label),
+                            f"tall({label},w={w})")
             if 4 * (order + 1) <= max_n:
                 attempt(lambda: cons.bordered_team_dsrg(t, label),
                         f"lem6({label})")
@@ -310,18 +315,10 @@ def all_construction_results(max_n: int,
                     attempt(lambda: cons.team_dsrg(t, label),
                             f"lem5({label})")
             if 2 * order <= max_n and order <= 11:
-                perms = cons.pq_search(t)
-                if perms:
-                    attempt(lambda: cons.pq_dsrg(
-                        t, perms[0],
-                        f"{label},p={','.join(map(str, perms[0].images))}"),
-                        f"pq({label})")
-            if base is not None:
-                for m in range(2, max_n // (4 * k + 2) + 1):
-                    for side in ("left", "right"):
-                        attempt(lambda m=m, side=side: cons.kronecker_expand(
-                            base.adj, m, side, f"duval_B({label})"),
-                            f"kron(duval_B({label}),m={m},{side})")
+                for p in cons.pq_search(t)[:1]:
+                    images = ",".join(map(str, p.images))
+                    attempt(lambda: cons.pq_dsrg(t, p, f"{label},p={images}"),
+                            f"pq({label})")
     for s in range(1, (max_n - 4) // 4 + 1):
         attempt(lambda s=s: cons.cycle_sum_dsrg(s), f"lem7(s={s})")
     for q in (5, 13, 17):

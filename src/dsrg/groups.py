@@ -305,8 +305,10 @@ def cayley_subset_scan(g: GroupTable, max_results: int | None = None
 
     Subsets of the non-identity elements are visited in ascending bitmask
     order (so output order is reproducible) and kept when the product
-    criteria succeed with 0 < t < k.  Refuses orders above SCAN_BOUND.
-    """
+    criteria succeed with 0 < t < k.  Refuses orders above SCAN_BOUND and a
+    max_results below 1."""
+    if max_results is not None and max_results < 1:
+        raise InputError(f"max_results must be >= 1, got {max_results}")
     if g.order > SCAN_BOUND:
         raise BoundExceeded(
             f"group order {g.order} exceeds the scan bound {SCAN_BOUND}")

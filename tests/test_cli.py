@@ -210,6 +210,17 @@ def test_construct_number_outside_domain_is_input_error(argv):
     assert stderr.startswith("input error: ") and "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("perm, message", [
+    ("0,1,2", "3 images for order 5"),
+    ("0,0,1,2,3", "not a permutation of 0..4: (0, 0, 1, 2, 3)"),
+])
+def test_construct_pq_bad_permutation_is_input_error(perm, message, capsys):
+    assert main(["construct", "pq", "--tournament", "standard:5",
+                 "--perm", perm]) == 2
+    assert capsys.readouterr() == (
+        "", f"input error: bad permutation {perm!r}: {message}\n")
+
+
 def test_construct_qr_bad_s_set_is_semantic_error():
     code, stdout, stderr = run_cli("construct", "qr", "--q", "5", "--sigma1",
                                    "2", "--sigma2", "3", "--s-set", "1,2")
@@ -368,6 +379,11 @@ def test_cayley_scan_cli():
     code, stdout, _ = run_cli("cayley-scan", "--group", "symmetric:3",
                               "--max-results", "1")
     assert code == 0 and len(stdout.strip().splitlines()) == 1
+    for limit in ("0", "-2"):
+        code, stdout, stderr = run_cli("cayley-scan", "--group", "symmetric:3",
+                                       "--max-results", limit)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"input error: max_results must be >= 1, got {limit}\n"
 
 
 def test_qr_search_cli():
@@ -525,6 +541,16 @@ def test_duval_b_built_once_per_tournament():
     built = [r for r in results if r.method == "duval_B"]
     assert spy.call_count == len(built) > 0
     assert any(r.method == "kron" for r in results)
+
+
+def test_wide_pattern_built_once():
+    # wide(T, w) and kron(duval_B(T), w, right) would rebuild
+    # kron(duval_B(T), w, left), exactly or up to relabelling
+    from dsrg.cli import all_construction_results
+    results = all_construction_results(48)
+    assert len(results) == 127
+    assert not any(r.method == "wide" for r in results)
+    assert not any(r.input_descriptor.endswith(",right") for r in results)
 
 
 def test_double_regularity_tested_once_per_source():

@@ -309,6 +309,40 @@ def test_kronecker_expansion():
     assert are_isomorphic(left.adj, right.adj) is not None
 
 
+@st.composite
+def relabelled_regular_tournaments(draw):
+    """A regular tournament of order <= 11 under a random relabelling."""
+    n = draw(st.sampled_from([3, 5, 7, 9, 11]))
+    conn = {e if draw(st.booleans()) else n - e
+            for e in range(1, (n + 1) // 2)}
+    t = draw(st.sampled_from([circulant_tournament(n, conn)] +
+                             (enumerate_regular_tournaments(7) if n == 7 else [])))
+    images = draw(st.permutations(range(n)))
+    return Tournament(conjugate_by_perm(t.adj, PermSpec(tuple(images))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_regular_tournaments(), st.integers(1, 4))
+def test_wide_pattern_routes_are_explicit_relabellings(t, m):
+    # the catalog builds the wide pattern once, as J_m x duval_B(T); these
+    # are the identities that make the other routes rebuilds of it
+    h = t.order
+    b = cons.duval_b(t).adj
+    wide = cons.wide_blocks(t, m).adj
+    assert wide == kronecker(BinMatrix.ones(m), b)
+    # tau swaps the two halves of each 2h block: wide^T onto tall
+    tau = PermSpec(tuple(x - x % (2 * h) + (x + h) % (2 * h)
+                         for x in range(2 * h * m)))
+    assert conjugate_by_perm(wide.transpose(), tau) == cons.tall_blocks(t, m).adj
+    if m >= 2:
+        # sigma(i*m + p) = p*n + i: B x J_m onto J_m x B
+        n = 2 * h
+        sigma = PermSpec(tuple(p * n + i for i in range(n) for p in range(m)))
+        right = cons.kronecker_expand(b, m, "right").adj
+        assert conjugate_by_perm(right, sigma) == \
+            cons.kronecker_expand(b, m, "left").adj
+
+
 def test_kronecker_rejects_t_not_mu():
     with pytest.raises(ValueError, match="iff t = mu"):
         cons.kronecker_expand(FIXTURE_8, 2)

@@ -8,6 +8,7 @@ from dsrg import (BinMatrix, CayleySpec, PermSpec, abelian_groups_up_to,
                   cayley_subset_scan, conjugate_by_perm, cycle_power,
                   cyclic_group, dihedral_group, direct_product, hobart_shaw,
                   symmetric_group, try_verify_dsrg)
+from dsrg.matrix import InputError
 
 
 def groups_isomorphic(g, h):
@@ -152,6 +153,12 @@ def test_scan_bound_refusal():
 def test_scan_truncation():
     s3 = symmetric_group(3)
     assert len(cayley_subset_scan(s3, max_results=2)) == 2
+
+
+@pytest.mark.parametrize("max_results", [0, -2])
+def test_scan_refuses_max_results_below_one(max_results):
+    with pytest.raises(InputError, match="max_results must be >= 1"):
+        cayley_subset_scan(symmetric_group(3), max_results=max_results)
 
 
 def test_abelian_groups_up_to_12():

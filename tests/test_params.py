@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsrg import (DOUBLY_REGULAR_TOURNAMENT, GENUINE, UNDIRECTED, BinMatrix,
-                  DsrgParams, NotDsrg, complement_graph, complement_params,
-                  cycle_power, duval_feasible, enumerate_feasible,
-                  try_verify_dsrg, verify_dsrg)
+                  DsrgParams, NotDsrg, PermSpec, complement_graph,
+                  complement_params, conjugate_by_perm, cycle_power,
+                  duval_feasible, enumerate_feasible, try_verify_dsrg,
+                  verify_dsrg)
 from known_graphs import FIXTURE_8, FIXTURE_10, TABLE_2_LEFT, TABLE_2_RIGHT
 
 
@@ -284,6 +285,40 @@ def _switched(a, rng, count):
     return BinMatrix.from_rows(rows)
 
 
+def _switched_once(a, rng, moves_t, tries=200):
+    """a after one 2x2 switch i->j, k->l => i->l, k->j, relabelled so that i
+    is vertex 1 and vertex 0 is some x outside {i, k} with A[x][i] = A[x][k],
+    which keeps row 0 of A^2.  With moves_t, A[j][i] != A[l][i] moves
+    (A^2)[i][i], so over a DSRG verify_dsrg fails at t-constancy; without,
+    A[j][i] = A[l][i] = A[j][k] = A[l][k] keeps the whole diagonal of A^2,
+    and a failure is at lambda- or mu-constancy.  Returns a unchanged when
+    no such switch turns up."""
+    rows = a.to_lists()
+    n = a.n
+    for _ in range(tries):
+        i, k, j, l = (rng.randrange(n) for _ in range(4))
+        if len({i, k}) < 2 or len({j, l}) < 2 or i in (j, l) or k in (j, l):
+            continue
+        if not (rows[i][j] == rows[k][l] == 1 and rows[i][l] == rows[k][j] == 0):
+            continue
+        if moves_t:
+            wanted = rows[j][i] != rows[l][i]
+        else:
+            wanted = rows[j][i] == rows[l][i] == rows[j][k] == rows[l][k]
+        if not wanted:
+            continue
+        xs = [x for x in range(n) if x not in (i, k) and rows[x][i] == rows[x][k]]
+        if not xs:
+            continue
+        x = rng.choice(xs)
+        rows[i][j] = rows[k][l] = 0
+        rows[i][l] = rows[k][j] = 1
+        order = [x, i] + [v for v in range(n) if v not in (x, i)]
+        return conjugate_by_perm(BinMatrix.from_rows(rows),
+                                 PermSpec(tuple(order)).inverse())
+    return a
+
+
 def test_verify_dsrg_matches_dense_oracle():
     rng = random.Random(5)
     cases = []
@@ -317,12 +352,16 @@ def _construction_outputs(max_n=30):
 
 @st.composite
 def verify_inputs(draw):
-    """A construction output up to order 30 with a few random switches, or
-    a random loopless digraph, half of them with constant out-degree."""
+    """A construction output up to order 30 with a few random switches or
+    with one switch aimed at t-constancy or away from it, or a random
+    loopless digraph, half of them with constant out-degree."""
     rng = draw(st.randoms(use_true_random=False))
     if draw(st.booleans()):
         base = draw(st.sampled_from(_construction_outputs()))
-        return _switched(base, rng, draw(st.integers(0, 4)))
+        how = draw(st.sampled_from(["switches", "moves t", "keeps t"]))
+        if how == "switches":
+            return _switched(base, rng, draw(st.integers(0, 4)))
+        return _switched_once(base, rng, how == "moves t")
     n = draw(st.integers(1, 12))
     k = draw(st.integers(0, n - 1))
     regular = draw(st.booleans())
