@@ -4,19 +4,22 @@ The engine is classical individualization-refinement: vertices are colored
 by iterated in/out neighborhood histograms, and when refinement stalls a
 vertex of the smallest non-singleton color class is individualized and the
 search branches.  Refinement is driven by splitter cells: each round
-counts neighbors only in the cells that have just split, which yields the
-same colorings as recounting against every cell.  The root starts from
-every cell; a child node starts from its new singleton alone, since its
-parent coloring was already stable.  ``are_isomorphic`` runs the two
-graphs in lockstep for at most one search node per vertex and then
-compares canonical forms; either way it returns an explicit relabeling
-witness, checked by ``conjugate_by_perm``.  ``canonical_form`` minimizes the
-relabeled matrix over the leaves of the search tree (in shell order: row
-and column fragments of the leading fixed vertices), pruning with
-automorphisms discovered along the way.  The shells of a node are gathered
-from per-vertex row and column bit strings in one pass and compared as
-one list.  Canonical matrices of two graphs are equal exactly when the
-graphs are isomorphic.
+counts neighbors only in the pieces of the cells that have just split,
+all but the last piece of each, which yields the same colorings as
+recounting against every cell.  The root starts from every cell; a child
+node starts from its new singleton alone, since its parent coloring was
+already stable.  ``are_isomorphic`` runs the two graphs in lockstep for
+at most one search node per vertex and then compares canonical forms;
+either way it returns an explicit relabeling witness, checked by
+``conjugate_by_perm``.  In lockstep, the first graph is refined once per
+node with each round's sorted signatures recorded in a trace, and the
+second graph is refined for each candidate against that trace.
+``canonical_form`` minimizes the relabeled matrix over the leaves of the
+search tree (in shell order: row and column fragments of the leading
+fixed vertices), pruning with automorphisms discovered along the way.
+The shells of a node are gathered from per-vertex row and column bit
+strings in one pass and compared as one list.  Canonical matrices of two
+graphs are equal exactly when the graphs are isomorphic.
 
 Twins (vertices with identical in- and out-neighborhoods) are
 interchangeable, so branching through a twin class only repeats work.
@@ -29,7 +32,6 @@ include ``CERT_VERSION``, which changes whenever canonical matrices do.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -61,75 +63,84 @@ def _graph_bits(a: BinMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return a.rows, a.transpose().rows
 
 
-def _refine_joint(graphs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
-                  colorings: Sequence[list[int]],
-                  first: Sequence[int] | None = None
-                  ) -> list[list[int]] | None:
-    """Stable joint color refinement.
+def _refine(graph: tuple[tuple[int, ...], tuple[int, ...]],
+            colors: Sequence[int], first: Sequence[int] | None = None,
+            trace: list[list[int]] | None = None) -> list[int] | None:
+    """Stable color refinement of one graph.
 
-    A vertex's signature is its color followed by its in and out counts
-    against each splitter cell, as digits in base n + 1.  Color ids are
-    assigned from the sorted union of signatures, so two graphs refined
-    together keep comparable ids.  Returns None as soon as the signature
-    multisets of the graphs diverge (then no isomorphism can respect the
-    colorings).
+    A vertex's signature is its color followed by its out and in counts
+    against each splitter cell, as digits in base n + 1, and the new color
+    ids rank the distinct signatures.  The first round uses the cells in
+    ``first`` as splitters, by default every cell.  A discrete coloring is
+    stable and is returned at once.
 
-    The first round uses the cells in ``first`` as splitters, by default
-    every cell; each later round uses only the cells whose parent color
-    split in the round before.  Counts against any other cell were already
-    part of an earlier signature, so they are constant on every current
-    cell (and equal across the graphs) and cannot change the order of the
-    signatures, their number or the multiset check.  A discrete coloring
-    is stable and is returned at once.
+    Round r's sorted signature list goes to ``trace[r]``: a round beyond
+    the recorded ones appends it, and a recorded round is compared with it
+    instead, returning None at the first difference.  Two graphs are
+    refined jointly by refining the first with an empty trace and the
+    second against it.  Each round's ids depend only on the sorted list, so
+    while the lists agree the second graph gets the ids that a union of
+    both graphs' signatures would give; a difference means that no
+    isomorphism can respect the colorings.
+
+    Each later round uses as splitters the pieces of the cells that split
+    in the round before, except the last (highest id) piece of each.  After
+    a round, counts against each cell of the coloring it started from are
+    constant on every new cell (and equal across jointly refined graphs):
+    those against a splitter are signature digits, and those against any
+    other cell were constant already.  So within a cell, counts against the
+    last piece of a split cell are those against the old cell minus those
+    against its other pieces, whose digits come just before them.  They
+    never decide between two signatures, and the partition, the color ids
+    and the outcome of every trace check are those of a round with every
+    piece as a splitter.  Dropping the largest piece instead (Hopcroft's
+    rule) would move digits and reorder colors, and a mask costs the same
+    two popcounts per vertex whatever its size.
 
     A child node passes ``first=[cell]``: ``_individualize`` left its
     vertex v alone at id ``cell`` and the rest of v's old cell at
-    ``cell + 1``.  The parent coloring was stable, so counts against every
-    other cell are constant on each cell and equal across the graphs, and
-    counts against the rest of the old cell are those against the old cell
-    minus those against {v}.  Counts against {v} therefore fix the full
-    signature, and they are its first digits that can differ within a
-    cell, so the partition, the color ids and the multiset check all come
-    out as with every cell as a splitter.
+    ``cell + 1``, the old cell's last piece, and the parent coloring was
+    stable, so by the same argument counts against {v} alone suffice.
     """
-    n = len(colorings[0])
+    rows, cols = graph
+    n = len(colors)
     base = n + 1
     base2 = base * base
-    colorings = [list(c) for c in colorings]
-    ncolors = max(max(c) for c in colorings) + 1
+    ncolors = max(colors) + 1
     splitters: Sequence[int] = range(ncolors) if first is None else first
+    rounds = 0
     while True:
-        sigs_all: list[list[int]] = []
-        for (rows, cols), colors in zip(graphs, colorings):
-            masks = [0] * ncolors
-            for v, c in enumerate(colors):
-                masks[c] |= 1 << v
-            masks = [masks[c] for c in splitters]
-            sigs = []
-            for v in range(n):
-                rv = rows[v]
-                cv = cols[v]
-                s = colors[v]
-                for m in masks:
-                    s = s * base2 + (rv & m).bit_count() * base \
-                        + (cv & m).bit_count()
-                sigs.append(s)
-            sigs_all.append(sigs)
-        if len(graphs) > 1:
-            reference = sorted(sigs_all[0])
-            if any(sorted(s) != reference for s in sigs_all[1:]):
+        masks = [0] * ncolors
+        for v, c in enumerate(colors):
+            masks[c] |= 1 << v
+        masks = [masks[c] for c in splitters]
+        sigs = []
+        for v in range(n):
+            rv = rows[v]
+            cv = cols[v]
+            s = colors[v]
+            for m in masks:
+                s = s * base2 + (rv & m).bit_count() * base \
+                    + (cv & m).bit_count()
+            sigs.append(s)
+        if trace is not None:
+            ordered = sorted(sigs)
+            if rounds == len(trace):
+                trace.append(ordered)
+            elif ordered != trace[rounds]:
                 return None
-        values = sorted(set().union(*(set(s) for s in sigs_all)))
+            rounds += 1
+        values = sorted(set(sigs))
         rank = {v: i for i, v in enumerate(values)}
-        colorings = [[rank[s] for s in sigs] for sigs in sigs_all]
+        colors = [rank[s] for s in sigs]
         if len(values) == ncolors or len(values) == n:
-            return colorings
-        # the leading digit of a signature is its parent color; ids of one
-        # parent are consecutive, and every piece of a split cell is a splitter
+            return colors
+        # the leading digit of a signature is its parent color, and ids of
+        # one parent are consecutive
         lead = base2 ** len(splitters)
         parents = [s // lead for s in values]
-        pieces = Counter(parents)
-        splitters = [i for i, p in enumerate(parents) if pieces[p] > 1]
+        splitters = [i for i in range(len(values) - 1)
+                     if parents[i] == parents[i + 1]]
         ncolors = len(values)
 
 
@@ -187,8 +198,10 @@ def are_isomorphic(a: BinMatrix, b: BinMatrix,
         return PermSpec.identity(n)
     ga = _graph_bits(a)
     gb = _graph_bits(b)
-    refined = _refine_joint([ga, gb], [[0] * n, [0] * n])
-    if refined is None:
+    trace: list[list[int]] = []
+    root_a = _refine(ga, [0] * n, trace=trace)
+    root_b = _refine(gb, [0] * n, trace=trace)
+    if root_b is None:
         return None
 
     nodes_left = _MAPPING_SEARCH_BUDGET * n
@@ -208,21 +221,21 @@ def are_isomorphic(a: BinMatrix, b: BinMatrix,
         if nodes_left <= 0:
             raise _SearchBudgetExceeded
         u = min(v for v in range(n) if colors_a[v] == cell)
+        # a's child is the same for every candidate v: refine it once
+        trace: list[list[int]] = []
+        child_a = _refine(ga, _individualize(colors_a, u), [cell], trace)
         for v in sorted(w for w in range(n) if colors_b[w] == cell):
             nodes_left -= 1
-            child = _refine_joint(
-                [ga, gb],
-                [_individualize(colors_a, u), _individualize(colors_b, v)],
-                [cell])
-            if child is None:
+            child_b = _refine(gb, _individualize(colors_b, v), [cell], trace)
+            if child_b is None:
                 continue
-            found = search(child[0], child[1])
+            found = search(child_a, child_b)
             if found is not None:
                 return found
         return None
 
     try:
-        return search(refined[0], refined[1])
+        return search(root_a, root_b)
     except _SearchBudgetExceeded:
         pass
     canon_a, order_a = _canonical(ga)
@@ -287,9 +300,9 @@ class _CanonicalSearch:
 
     def run(self) -> list[int]:
         """Vertices in canonical order: position i holds order[i]."""
-        start = _refine_joint([self.graph], [self.colors])
+        start = _refine(self.graph, self.colors)
         assert start is not None
-        self._visit(start[0], 0)
+        self._visit(start, 0)
         assert self.best_order is not None
         return self.best_order
 
@@ -379,11 +392,10 @@ class _CanonicalSearch:
             if root in tried:
                 continue
             tried.add(root)
-            child = _refine_joint([self.graph], [_individualize(colors, v)],
-                                  [cell])
+            child = _refine(self.graph, _individualize(colors, v), [cell])
             assert child is not None
             self.branches.append(v)
-            jump = self._visit(child[0], depth + 1)
+            jump = self._visit(child, depth + 1)
             self.branches.pop()
             if jump < depth:
                 return jump

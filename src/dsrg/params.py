@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 # mat_mul_count stays a name of this module: bench/spans.py wraps
 # params.mat_mul_count when it traces a run
@@ -243,10 +244,11 @@ def duval_feasible(p: DsrgParams) -> FeasibilityReport:
                              order_ok, mu_band_ok)
 
 
-def enumerate_feasible(max_n: int) -> list[DsrgParams]:
+def iter_feasible(max_n: int) -> Iterator[DsrgParams]:
     """All genuine tuples with n <= max_n passing the feasibility system.
 
-    Returned in lexicographic (n, k, t, lambda, mu) order; every tuple is
+    Yielded in lexicographic (n, k, t, lambda, mu) order as the scan finds
+    them, so the first arrives at once whatever max_n; every tuple is
     judged by duval_feasible.  With d = n-1-k the balance equation reads
     K = t + d*mu for K = k(k - lambda), so (n, k, lambda, t) pins mu, and
     the scan steps t through the residue class t = K (mod d) inside the
@@ -256,7 +258,6 @@ def enumerate_feasible(max_n: int) -> list[DsrgParams]:
     max_n = 200, 1.9 s at 300, 8.5 s at 500 and about 65 s at 1000,
     growing roughly as max_n^3.
     """
-    found: list[DsrgParams] = []
     for n in range(1, max_n + 1):
         # k = n-1 (d = 0) forces t = k(k - lam) >= k, never genuine.
         for k in range(2, n - 1):
@@ -287,5 +288,9 @@ def enumerate_feasible(max_n: int) -> list[DsrgParams]:
             for t, lam, mu in batch:
                 p = DsrgParams(n, k, t, lam, mu)
                 if duval_feasible(p).feasible:
-                    found.append(p)
-    return found
+                    yield p
+
+
+def enumerate_feasible(max_n: int) -> list[DsrgParams]:
+    """The tuples of ``iter_feasible(max_n)`` as a list."""
+    return list(iter_feasible(max_n))

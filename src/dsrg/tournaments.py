@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from . import iso
-from .matrix import (BinMatrix, PermSpec, _full_mask, _indicator,
+from .matrix import (BinMatrix, InputError, PermSpec, _full_mask, _indicator,
                      conjugate_by_perm, mat_mul_count, sigma_circulant)
 from .numth import is_prime, quadratic_residues
 from .params import _first_inconstant, try_verify_dsrg
@@ -388,7 +388,7 @@ def enumerate_regular_tournaments(n: int,
     limit explicitly to override.
     """
     if n < 1 or n % 2 == 0:
-        raise ValueError(f"regular tournaments have positive odd order, got {n}")
+        raise InputError(f"regular tournaments have positive odd order, got {n}")
     if n > limit:
         raise iso.BoundExceeded(
             f"order {n} exceeds the enumeration limit {limit}; "

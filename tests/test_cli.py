@@ -279,6 +279,19 @@ def test_feasible_output():
     assert "8 3 2 1 1" in lines
 
 
+def test_feasible_prints_as_it_scans(capsys):
+    # each tuple is printed before the scan goes on to the next one
+    first = enumerate_feasible(6)[0]
+
+    def scan(max_n):
+        yield first
+        raise RuntimeError("scan interrupted")
+    with mock.patch("dsrg.cli.iter_feasible", scan), \
+            pytest.raises(RuntimeError):
+        main(["feasible", "6"])
+    assert capsys.readouterr().out == f"{first}\n"
+
+
 def test_feasible_empty():
     code, stdout, _ = run_cli("feasible", "2")
     assert code == 0 and stdout.strip() == ""
@@ -646,10 +659,13 @@ def test_tournaments_limit_refusal_is_input_error():
 
 
 def test_tournaments_negative_order_is_rejected():
-    # the same exit code as an even order
+    # an out-of-domain order is an input error, as for an even order and as
+    # for a tournament descriptor of non-positive order
     for order in ("-1", "4"):
-        code, _, stderr = run_cli("tournaments", "--n", order)
-        assert code == 1 and "positive odd" in stderr
+        code, stdout, stderr = run_cli("tournaments", "--n", order)
+        assert (code, stdout) == (2, "")
+        assert stderr == ("input error: regular tournaments have positive "
+                          f"odd order, got {order}\n")
 
 
 def test_tournaments_order_9_golden_digest():

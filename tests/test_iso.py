@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -17,6 +18,7 @@ from dsrg import (BinMatrix, PermSpec, are_isomorphic, canonical_form,
                   find_commuting_transposer, paley_tournament)
 from dsrg import constructions as cons
 from dsrg import iso
+from dsrg.cli import all_construction_results
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -360,6 +362,33 @@ def test_equal_parameter_lem6_pair_at_48():
                 assert w is not None and conjugate_by_perm(g, w) == copy
 
 
+def test_witness_and_canonical_golden():
+    # pins every witness image (or None) and canonical matrix byte for byte:
+    # two seeded relabelled copies of each twin-free output at n <= 48, then
+    # every pair of those outputs with equal parameters
+    sources = [r for r in all_construction_results(48) if _twin_free(r.adj)]
+    rng = random.Random(48)
+    digest = hashlib.sha256()
+
+    def feed(witness):
+        digest.update(repr(None if witness is None
+                           else witness.images).encode())
+    for r in sources:
+        for _ in range(2):
+            images = list(range(r.adj.n))
+            rng.shuffle(images)
+            copy = conjugate_by_perm(r.adj, PermSpec(tuple(images)))
+            feed(are_isomorphic(r.adj, copy))
+            digest.update(repr(canonical_form(copy).canonical.rows).encode())
+    pairs = [(r, s) for i, r in enumerate(sources) for s in sources[i + 1:]
+             if r.params == s.params]
+    for r, s in pairs:
+        feed(are_isomorphic(r.adj, s.adj))
+    assert (len(sources), len(pairs)) == (89, 131)
+    assert digest.hexdigest() == \
+        "80b4b98e97f7815a0b25db1d58b77f0660b6453f26ff82c5d475ac04d32753ba"
+
+
 # -- property tests on graphs with twins -------------------------------------
 
 
@@ -471,9 +500,18 @@ def test_canonical_equality_matches_witness_with_twins(pair, data):
             assert conjugate_by_perm(a, w) == b
 
 
+def refine_joint(graphs, colorings, first=None):
+    """iso._refine on one graph, or on two jointly: the first with an empty
+    trace, then the second against the first one's trace."""
+    trace = [] if len(graphs) > 1 else None
+    refined = [iso._refine(graph, colors, first, trace)
+               for graph, colors in zip(graphs, colorings)]
+    return None if refined[-1] is None else refined
+
+
 def full_signature_refinement(graphs, colorings):
     """Joint refinement that recomputes every vertex's counts against
-    every cell in every round; the oracle for iso._refine_joint."""
+    every cell in every round; the oracle for iso._refine."""
     n = len(colorings[0])
     base = n + 1
     colorings = [list(c) for c in colorings]
@@ -574,7 +612,7 @@ def _color_matching_is_isomorphism(graphs, colorings):
 def test_refine_joint_matches_full_signature_oracle(inputs):
     graphs, colorings = inputs
     expected = full_signature_refinement(graphs, colorings)
-    got = iso._refine_joint(graphs, colorings)
+    got = refine_joint(graphs, colorings)
     if got == expected:
         return
     # refinement stops at a discrete coloring, which is stable; in joint
@@ -654,8 +692,8 @@ def test_refine_joint_from_new_singleton_matches_oracle(inputs):
     if inputs is None:
         return
     graphs, colorings, cell = inputs
-    got = iso._refine_joint(graphs, colorings, [cell])
-    assert got == iso._refine_joint(graphs, colorings)
+    got = refine_joint(graphs, colorings, [cell])
+    assert got == refine_joint(graphs, colorings)
     expected = full_signature_refinement(graphs, colorings)
     if got != expected:
         # a discrete coloring returns at once; see the oracle test above

@@ -1,5 +1,6 @@
 import functools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from dsrg import (DOUBLY_REGULAR_TOURNAMENT, GENUINE, UNDIRECTED, BinMatrix,
                   complement_params, conjugate_by_perm, cycle_power,
                   duval_feasible, enumerate_feasible, try_verify_dsrg,
                   verify_dsrg)
+from dsrg.params import iter_feasible
 from known_graphs import FIXTURE_8, FIXTURE_10, TABLE_2_LEFT, TABLE_2_RIGHT
 
 
@@ -126,6 +128,14 @@ def test_enumerate_feasible_small():
     found8 = {p.as_tuple() for p in enumerate_feasible(8)}
     assert (8, 3, 2, 1, 1) in found8
     assert enumerate_feasible(2) == []
+
+
+def test_iter_feasible_yields_before_the_scan_ends():
+    # the scan to 1000 takes about a minute; its first tuple comes at once
+    start = time.perf_counter()
+    first = next(iter_feasible(1000))
+    assert time.perf_counter() - start < 1.0
+    assert first == enumerate_feasible(60)[0]
 
 
 def test_enumerate_feasible_sorted_and_genuine():
