@@ -308,6 +308,30 @@ def test_feasible_just_above_cap_refused():
     assert code == 2 and "cap" in stderr and stdout == ""
 
 
+@pytest.mark.parametrize("args", [("feasible", "-3"), ("catalog", "-1")])
+def test_negative_max_n_refused(args):
+    code, stdout, stderr = run_cli(*args)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"input error: max_n must be non-negative, got {args[1]}\n"
+
+
+@pytest.mark.parametrize("args, header", [(("feasible", "0"), ""),
+                                          (("catalog", "0"),
+                                           "n k t lambda mu classes\n")])
+def test_zero_max_n_is_the_empty_answer(args, header):
+    code, stdout, _ = run_cli(*args)
+    assert (code, stdout) == (0, header)
+
+
+def test_feasible_200_golden_digest():
+    # pins every tuple of the feasibility table up to 200 and its order
+    code, stdout, _ = run_cli("feasible", "200")
+    assert code == 0
+    assert len(stdout.splitlines()) == 8525
+    assert hashlib.sha256(stdout.encode()).hexdigest() == \
+        "5e02950ccbe88b71f15a025dadae62869844652794c2a7ff5916a7fa770e93a5"
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

@@ -1,9 +1,12 @@
+import dataclasses
 import functools
 import random
 import time
+from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dsrg import (DOUBLY_REGULAR_TOURNAMENT, GENUINE, UNDIRECTED, BinMatrix,
@@ -11,6 +14,7 @@ from dsrg import (DOUBLY_REGULAR_TOURNAMENT, GENUINE, UNDIRECTED, BinMatrix,
                   complement_params, conjugate_by_perm, cycle_power,
                   duval_feasible, enumerate_feasible, try_verify_dsrg,
                   verify_dsrg)
+from dsrg import params
 from dsrg.params import iter_feasible
 from known_graphs import FIXTURE_8, FIXTURE_10, TABLE_2_LEFT, TABLE_2_RIGHT
 
@@ -186,6 +190,17 @@ def test_enumerate_feasible_matches_scan_oracle(max_n):
     assert enumerate_feasible(max_n) == _scan_oracle(max_n)
 
 
+def test_scan_builds_params_only_for_yielded_tuples():
+    # every condition is decided on integers: one DsrgParams per yielded
+    # tuple and no FeasibilityReport
+    with mock.patch.object(params, "DsrgParams", wraps=DsrgParams) as made, \
+            mock.patch.object(params, "FeasibilityReport",
+                              wraps=params.FeasibilityReport) as reports:
+        out = enumerate_feasible(60)
+    assert len(out) == made.call_count == 680
+    assert reports.call_count == 0
+
+
 @functools.cache
 def _feasible_40():
     return frozenset(p.as_tuple() for p in enumerate_feasible(40))
@@ -216,6 +231,60 @@ def parameter_tuples(draw):
 def test_enumerate_feasible_iff_duval_feasible(p):
     expected = p.is_genuine and duval_feasible(p).feasible
     assert (p.as_tuple() in _feasible_40()) == expected
+
+
+@st.composite
+def zero_root_tuples(draw):
+    """Tuples with (mu-lambda)^2 + 4(t-mu) = 0: mu = t + s^2 and
+    lambda = mu -+ 2s."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(0, n - 1))
+    t = draw(st.integers(0, k))
+    s = draw(st.integers(0, 3))
+    mu = t + s * s
+    lam = mu + 2 * s * draw(st.sampled_from([-1, 1]))
+    assume(lam >= 0)
+    return DsrgParams(n, k, t, lam, mu)
+
+
+def _report_oracle(p):
+    """The fields of duval_feasible(p) as FeasibilityReport defines them."""
+    n, k, t, lam, mu = p.as_tuple()
+    disc = (mu - lam) ** 2 + 4 * (t - mu)
+    d = next((r for r in range(disc + 1) if r * r == disc), None)
+    numerator = 2 * k - (mu - lam) * (n - 1)
+    quotient = None
+    if d == 0:
+        quotient = 0 if numerator == 0 else None
+    elif d is not None and Fraction(numerator, d).denominator == 1:
+        quotient = numerator // d
+    has_q = quotient is not None
+    return {"params": p, "applicable": 0 < t < k, "d": d,
+            "quotient": quotient,
+            "balance_ok": k * (k + mu - lam) == t + (n - 1) * mu,
+            "square_ok": d is not None, "divisibility_ok": has_q,
+            "parity_ok": has_q and (quotient - (n - 1)) % 2 == 0,
+            "magnitude_ok": has_q and -(n - 1) <= quotient <= n - 1,
+            "order_ok": 0 <= lam < t < k and 0 < mu <= t < k,
+            "mu_band_ok": -2 * (k - t - 1) <= mu - lam <= 2 * (k - t)}
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(parameter_tuples(), zero_root_tuples()))
+@example(DsrgParams(5, 4, 1, 0, 2))   # d = 0, quotient 0
+@example(DsrgParams(5, 3, 1, 0, 2))   # d = 0, no quotient
+@example(DsrgParams(6, 2, 1, 3, 3))   # negative discriminant
+@example(DsrgParams(3, 1, 0, 0, 1))   # doubly regular tournament
+@example(DsrgParams(5, 2, 2, 0, 1))   # undirected pentagon
+@example(DsrgParams(6, 2, 1, 0, 1))   # feasible
+def test_duval_feasible_matches_report_oracle(p):
+    report = duval_feasible(p)
+    expected = _report_oracle(p)
+    assert {f.name: getattr(report, f.name)
+            for f in dataclasses.fields(report)} == expected
+    assert report.feasible == all(
+        v for name, v in expected.items()
+        if name.endswith("_ok") or name == "applicable")
 
 
 @settings(max_examples=300, deadline=None)
