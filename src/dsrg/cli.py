@@ -499,6 +499,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.bound < 1:
+            raise InputError(f"--bound must be at least 1, got {args.bound}")
         code = args.handler(args)
         sys.stdout.flush()
         return code

@@ -17,9 +17,9 @@ second graph is refined for each candidate against that trace.
 ``canonical_form`` minimizes the relabeled matrix over the leaves of the
 search tree (in shell order: row and column fragments of the leading
 fixed vertices), pruning with automorphisms discovered along the way.
-The shells of a node are gathered from per-vertex row and column bit
-strings in one pass and compared as one list.  Canonical matrices of two
-graphs are equal exactly when the graphs are isomorphic.
+The shells of a node are strided slices of its fixed vertices' joined
+row strings, compared as one list.  Canonical matrices of two graphs are
+equal exactly when the graphs are isomorphic.
 
 Twins (vertices with identical in- and out-neighborhoods) are
 interchangeable, so branching through a twin class only repeats work.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .matrix import (BinMatrix, InputError, PermSpec, _relabeled_rows,
@@ -279,6 +278,12 @@ class _CanonicalSearch:
     siblings within one orbit and lets the search unwind straight to the
     node where the current path left the best leaf's path, since the
     automorphism maps the abandoned subtree onto already-explored ground.
+
+    Rows are kept as big-endian binary strings.  The fixed ones joined and
+    cut at each fixed column v by the stride-n slice from n-1-v spell the
+    fixed submatrix column by column, and each shell is two slices of that.
+    Shell m is a '0'/'1' string of 2m + 1 characters at every node, so
+    lists of shells compare like the binary numbers they spell.
     """
 
     _NO_JUMP = 1 << 30
@@ -287,12 +292,10 @@ class _CanonicalSearch:
                  colors: list[int]):
         self.n = len(colors)
         self.graph = graph
-        # bit j of vertex u's row (column) is character j of its string
-        spec = "{:0%db}" % self.n
-        self.row_chars = [spec.format(r)[::-1] for r in graph[0]]
-        self.col_chars = [spec.format(c)[::-1] for c in graph[1]]
+        # bit v of vertex u's row is character n-1-v of its string
+        self.row_strings = list(map(f"{{:0{self.n}b}}".format, graph[0]))
         self.colors = colors
-        self.best_shells: list[int] | None = None
+        self.best_shells: list[str] | None = None
         self.best_order: list[int] | None = None
         self.best_branches: list[int] = []
         self.branches: list[int] = []
@@ -320,29 +323,23 @@ class _CanonicalSearch:
             prefix.append(member[c])
         return prefix
 
-    def _shells(self, fixed: list[int]) -> list[int]:
-        """Shell of each fixed vertex: its row at fixed[:m+1], then its
-        column at fixed[:m], read as one binary number."""
-        if not fixed:
-            return []
-        # one index makes itemgetter return a character, not a tuple;
-        # join reads both alike
-        gather = itemgetter(*fixed)
-        return [int("".join(gather(self.row_chars[u])[:m + 1])
-                    + "".join(gather(self.col_chars[u])[:m]), 2)
-                for m, u in enumerate(fixed)]
+    def _shells(self, fixed: list[int]) -> list[str]:
+        """Shell m: row fixed[m] at fixed[:m+1], then column fixed[m] at
+        fixed[:m].  flat[j*size + i] is entry (fixed[i], fixed[j])."""
+        n, size = self.n, len(fixed)
+        spelled = "".join([self.row_strings[u] for u in fixed])
+        flat = "".join([spelled[n - 1 - v::n] for v in fixed])
+        return [flat[m:m * size + m + 1:size] + flat[m * size:m * size + m]
+                for m in range(size)]
 
     def _visit(self, colors: list[int], depth: int) -> int:
         """Explore one node; returns the depth to unwind to (backjump)."""
         fixed = self._fixed_prefix(colors)
-        shells: list[int] = []
-        if self.best_shells is not None:
-            shells = self._shells(fixed)
-            if shells > self.best_shells[:len(shells)]:
-                return self._NO_JUMP
+        shells = self._shells(fixed)
+        if self.best_shells is not None and \
+                shells > self.best_shells[:len(shells)]:
+            return self._NO_JUMP
         if len(fixed) == self.n:
-            if not shells:
-                shells = self._shells(fixed)
             if self.best_shells is None or shells < self.best_shells:
                 self.best_shells = shells
                 self.best_order = fixed

@@ -13,7 +13,6 @@ matrices can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -279,13 +278,14 @@ def block_compose(layout: Sequence[Sequence[BinMatrix]]) -> BinMatrix:
 def _relabeled_rows(rows: Sequence[int],
                     order: Sequence[int]) -> tuple[int, ...]:
     """Rows of the matrix whose entry (r, c) is entry (order[r], order[c])."""
-    # bit c of row r is bit order[c] of row order[r]; gather the bits from
-    # each row's binary string, most significant column first (one index
-    # makes itemgetter return a character, which join reads alike)
+    # Rows order[0], order[1], ... spelled as n-digit binary strings and
+    # joined hold column order[c] at every n-th character from n-1-order[c].
+    # Those columns joined put entry (r, c) of the result at flat[c*n + r],
+    # so row r, most significant bit first, is flat[(n-1)*n + r::-n].
     n = len(order)
-    fmt = f"0{n}b"
-    gather = itemgetter(*[n - 1 - v for v in reversed(order)])
-    return tuple(int("".join(gather(format(rows[v], fmt))), 2) for v in order)
+    spelled = "".join(map(f"{{:0{n}b}}".format, [rows[v] for v in order]))
+    flat = "".join([spelled[n - 1 - v::n] for v in order])
+    return tuple(int(flat[(n - 1) * n + r::-n], 2) for r in range(n))
 
 
 def conjugate_by_perm(a: BinMatrix, p: PermSpec) -> BinMatrix:

@@ -677,6 +677,16 @@ def test_bound_flag_controls_classify(tmp_path):
     assert code == 0 and len(stdout.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [["--bound", "-5", "catalog", "10"],
+                                  ["--bound", "0", "tournaments", "--n", "5"],
+                                  ["--bound", "0", "classify", "missing.adj"]])
+def test_bound_below_one_is_refused(argv, capsys):
+    # refused before the command runs, whether or not it uses the bound
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"input error: --bound must be at least 1, got {argv[1]}\n")
+
+
 def test_tournaments_limit_refusal_is_input_error():
     code, _, stderr = run_cli("tournaments", "--n", "13")
     assert code == 2 and "limit" in stderr

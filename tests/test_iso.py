@@ -765,3 +765,64 @@ def test_are_isomorphic_witness_sound_twin_free(a, data):
         assert (w is not None) == same
         if w is not None:
             assert conjugate_by_perm(a, w) == b
+
+
+# -- shells of the canonical search ------------------------------------------
+
+
+def _shells_per_bit(graph, fixed):
+    """Shell m by its definition: row fixed[m] at fixed[:m+1], then column
+    fixed[m] at fixed[:m], read bit by bit."""
+    rows = graph[0]
+    return ["".join(str(rows[u] >> v & 1) for v in fixed[:m + 1])
+            + "".join(str(rows[v] >> u & 1) for v in fixed[:m])
+            for m, u in enumerate(fixed)]
+
+
+def _shells_as_ints(graph, fixed):
+    """The shells as binary numbers gathered from per-vertex row and column
+    strings, the form the search compared before it kept strings."""
+    n = len(graph[0])
+    row_chars, col_chars = ([f"{b:0{n}b}"[::-1] for b in bits]
+                            for bits in graph)
+    return [int("".join(row_chars[u][v] for v in fixed[:m + 1])
+                + "".join(col_chars[u][v] for v in fixed[:m]), 2)
+            for m, u in enumerate(fixed)]
+
+
+@st.composite
+def shell_inputs(draw):
+    """A digraph on 1 to 70 vertices, loops allowed, whose rows are drawn
+    as all zeros, all ones or at random, and two prefixes of fixed
+    vertices of length 0, 1, 2 or n.  The second prefix often shares a
+    start with the first, as sibling nodes of the search do."""
+    n = draw(st.integers(1, 70))
+    full = (1 << n) - 1
+    rows = draw(st.lists(st.one_of(st.just(0), st.just(full),
+                                   st.integers(0, full)),
+                         min_size=n, max_size=n))
+    sizes = sorted({0, min(1, n), min(2, n), n})
+    first = draw(st.permutations(range(n)))
+    shared = draw(st.integers(0, n))
+    second = first[:shared] + draw(st.permutations(first[shared:]))
+    return (iso._graph_bits(BinMatrix(n, tuple(rows))),
+            [order[:draw(st.sampled_from(sizes))] for order in (first, second)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(shell_inputs())
+@example((iso._graph_bits(BinMatrix(1, (1,))), [[0], []]))
+@example((iso._graph_bits(BinMatrix.ones(3)), [[2, 0, 1], [2, 1, 0]]))
+def test_shells_match_per_bit_definition(inputs):
+    graph, prefixes = inputs
+    search = iso._CanonicalSearch(graph, [0] * len(graph[0]))
+    shells = [search._shells(list(fixed)) for fixed in prefixes]
+    ints = [_shells_as_ints(graph, fixed) for fixed in prefixes]
+    for fixed, got, old in zip(prefixes, shells, ints):
+        assert got == _shells_per_bit(graph, fixed)
+        assert [int(s, 2) for s in got] == old
+    # the search compares whole lists and a list against a best prefix
+    (s1, s2), (i1, i2) = shells, ints
+    assert (s1 < s2, s1 == s2, s1 > s2) == (i1 < i2, i1 == i2, i1 > i2)
+    assert (s1 > s2[:len(s1)]) == (i1 > i2[:len(i1)])
+    assert (s2 > s1[:len(s2)]) == (i2 > i1[:len(i2)])

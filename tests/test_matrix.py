@@ -175,6 +175,13 @@ def matrix_and_perm(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(matrix_and_perm())
+# one column per stride, the leading zeros of each row's width, and a
+# full row beside a zero diagonal bit
+@example((BinMatrix(1, (1,)), PermSpec((0,))))
+@example((BinMatrix(2, (0b10, 0b11)), PermSpec((1, 0))))
+@example((BinMatrix.zeros(65), PermSpec.reversal(65)))
+@example((BinMatrix(64, tuple(((1 << 64) - 1) ^ (1 << i) for i in range(64))),
+          PermSpec.shift(64, 5)))
 def test_conjugate_matches_per_bit_reference(inputs):
     a, p = inputs
     b = conjugate_by_perm(a, p)
