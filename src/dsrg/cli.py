@@ -430,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, verify, enumerate, and classify directed "
                     "strongly regular graphs.")
     parser.add_argument("--bound", type=int, default=iso.DEFAULT_BOUND,
-                        help="order bound for isomorphism computations")
+                        help="order bound for isomorphism computations "
+                             "in classify and catalog")
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build one graph and print its parameters")

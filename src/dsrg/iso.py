@@ -16,22 +16,28 @@ node with each round's sorted signatures recorded in a trace, and the
 second graph is refined for each candidate against that trace.
 ``canonical_form`` minimizes the relabeled matrix over the leaves of the
 search tree (in shell order: row and column fragments of the leading
-fixed vertices), pruning with automorphisms discovered along the way.
-The shells of a node are strided slices of its fixed vertices' joined
-row strings, compared as one list.  Canonical matrices of two graphs are
+fixed vertices), pruning with automorphisms discovered along the way: a
+node skips the closure of its tried vertices under the stored
+automorphisms that fix its fixed vertices.  Both searches read a coloring
+through ``_cells`` (the members of each color) and turn two vertex orders
+into a permutation (witness or automorphism) through ``_mapping``.  The
+shells of a node are strided slices of its fixed vertices' joined row
+strings, compared as one list.  Canonical matrices of two graphs are
 equal exactly when the graphs are isomorphic.
 
 Twins (vertices with identical in- and out-neighborhoods) are
 interchangeable, so branching through a twin class only repeats work.
-Canonical labeling therefore searches the twin quotient, one vertex per
-class colored by the class size, and expands its best leaf class by
-class; twin-free graphs are searched as they are.  Certificate hashes
-include ``CERT_VERSION``, which changes whenever canonical matrices do.
+Canonical labeling therefore searches the twin quotient (the rows and
+columns of one representative per class, cut out by ``_relabeled_rows``),
+colored by class size, and expands its best leaf class by class;
+twin-free graphs are searched as they are.  Certificate hashes include
+``CERT_VERSION``, which changes whenever canonical matrices do.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -150,21 +156,31 @@ def _individualize(colors: Sequence[int], v: int) -> list[int]:
             for w, c in enumerate(colors)]
 
 
-def _cell_sizes(colors: Sequence[int]) -> list[int]:
-    sizes = [0] * (max(colors) + 1)
-    for c in colors:
-        sizes[c] += 1
-    return sizes
+def _cells(colors: Sequence[int]) -> list[list[int]]:
+    """Members of each color class in ascending order, indexed by color."""
+    cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+    for v, c in enumerate(colors):
+        cells[c].append(v)
+    return cells
 
 
-def _target_cell(colors: Sequence[int]) -> int | None:
+def _target_cell(cells: list[list[int]]) -> int | None:
     """Smallest non-singleton color class, ties broken by lowest id."""
-    sizes = _cell_sizes(colors)
-    best = None
-    for c, s in enumerate(sizes):
-        if s > 1 and (best is None or s < sizes[best]):
-            best = c
-    return best
+    return min((c for c, m in enumerate(cells) if len(m) > 1),
+               key=lambda c: len(cells[c]), default=None)
+
+
+def _fixed_prefix(cells: list[list[int]]) -> list[int]:
+    """Members of the leading singleton cells, in color order."""
+    return [m[0] for m in itertools.takewhile(lambda m: len(m) == 1, cells)]
+
+
+def _mapping(source: Sequence[int], target: Sequence[int]) -> tuple[int, ...]:
+    """Images of the permutation that takes source[i] to target[i]."""
+    images = [0] * len(source)
+    for u, v in zip(source, target):
+        images[u] = v
+    return tuple(images)
 
 
 # Lockstep search nodes per vertex before are_isomorphic compares canonical
@@ -205,25 +221,22 @@ def are_isomorphic(a: BinMatrix, b: BinMatrix,
 
     nodes_left = _MAPPING_SEARCH_BUDGET * n
 
-    def verified(colors_a: list[int], colors_b: list[int]) -> PermSpec | None:
-        by_color_b = [0] * n
-        for v, c in enumerate(colors_b):
-            by_color_b[c] = v
-        witness = PermSpec(tuple(by_color_b[c] for c in colors_a))
-        return witness if conjugate_by_perm(a, witness) == b else None
-
     def search(colors_a: list[int], colors_b: list[int]) -> PermSpec | None:
         nonlocal nodes_left
-        cell = _target_cell(colors_a)
-        if cell is None:
-            return verified(colors_a, colors_b)
+        if max(colors_a) == n - 1:
+            # discrete: a coloring inverted is its vertices in color order
+            witness = PermSpec(_mapping(_mapping(colors_a, range(n)),
+                                        _mapping(colors_b, range(n))))
+            return witness if conjugate_by_perm(a, witness) == b else None
         if nodes_left <= 0:
             raise _SearchBudgetExceeded
-        u = min(v for v in range(n) if colors_a[v] == cell)
+        cells_a = _cells(colors_a)
+        cell = _target_cell(cells_a)
         # a's child is the same for every candidate v: refine it once
         trace: list[list[int]] = []
-        child_a = _refine(ga, _individualize(colors_a, u), [cell], trace)
-        for v in sorted(w for w in range(n) if colors_b[w] == cell):
+        child_a = _refine(ga, _individualize(colors_a, cells_a[cell][0]),
+                          [cell], trace)
+        for v in _cells(colors_b)[cell]:
             nodes_left -= 1
             child_b = _refine(gb, _individualize(colors_b, v), [cell], trace)
             if child_b is None:
@@ -241,10 +254,7 @@ def are_isomorphic(a: BinMatrix, b: BinMatrix,
     canon_b, order_b = _canonical(gb)
     if canon_a != canon_b:
         return None
-    images = [0] * n
-    for pos in range(n):
-        images[order_a[pos]] = order_b[pos]
-    witness = PermSpec(tuple(images))
+    witness = PermSpec(_mapping(order_a, order_b))
     if conjugate_by_perm(a, witness) != b:
         raise AssertionError("equal canonical forms gave an invalid witness")
     return witness
@@ -274,10 +284,14 @@ class _CanonicalSearch:
     then column fragment of each newly fixed vertex), which is exactly the
     part of the matrix determined by the leading singleton cells; branches
     whose fixed shells already exceed the best leaf are pruned.  A leaf
-    that reproduces the best matrix witnesses an automorphism: it prunes
-    siblings within one orbit and lets the search unwind straight to the
-    node where the current path left the best leaf's path, since the
-    automorphism maps the abandoned subtree onto already-explored ground.
+    that reproduces the best matrix witnesses an automorphism, which is
+    stored, and lets the search unwind straight to the node where the
+    current path left the best leaf's path, since the automorphism maps the
+    abandoned subtree onto already-explored ground.  A node skips each
+    vertex of its target cell in the closure of the vertices it has tried
+    under the stored automorphisms that fix its fixed vertices: those
+    vertices lie in the orbits of tried ones, whose subtrees the
+    automorphisms map onto explored ground too.
 
     Rows are kept as big-endian binary strings.  The fixed ones joined and
     cut at each fixed column v by the stride-n slice from n-1-v spell the
@@ -309,20 +323,6 @@ class _CanonicalSearch:
         assert self.best_order is not None
         return self.best_order
 
-    def _fixed_prefix(self, colors: list[int]) -> list[int]:
-        ncolors = max(colors) + 1
-        counts = [0] * ncolors
-        member = [0] * ncolors
-        for v, c in enumerate(colors):
-            counts[c] += 1
-            member[c] = v
-        prefix = []
-        for c in range(ncolors):
-            if counts[c] != 1:
-                break
-            prefix.append(member[c])
-        return prefix
-
     def _shells(self, fixed: list[int]) -> list[str]:
         """Shell m: row fixed[m] at fixed[:m+1], then column fixed[m] at
         fixed[:m].  flat[j*size + i] is entry (fixed[i], fixed[j])."""
@@ -334,7 +334,8 @@ class _CanonicalSearch:
 
     def _visit(self, colors: list[int], depth: int) -> int:
         """Explore one node; returns the depth to unwind to (backjump)."""
-        fixed = self._fixed_prefix(colors)
+        cells = _cells(colors)
+        fixed = _fixed_prefix(cells)
         shells = self._shells(fixed)
         if self.best_shells is not None and \
                 shells > self.best_shells[:len(shells)]:
@@ -347,10 +348,7 @@ class _CanonicalSearch:
             elif shells == self.best_shells:
                 assert self.best_order is not None
                 if len(self.autos) < _MAX_STORED_AUTOMORPHISMS:
-                    images = [0] * self.n
-                    for pos in range(self.n):
-                        images[self.best_order[pos]] = fixed[pos]
-                    auto = tuple(images)
+                    auto = _mapping(self.best_order, fixed)
                     if auto not in self.autos and auto != tuple(range(self.n)):
                         self.autos.append(auto)
                 common = 0
@@ -360,35 +358,14 @@ class _CanonicalSearch:
                     common += 1
                 return common
             return self._NO_JUMP
-        cell = _target_cell(colors)
+        cell = _target_cell(cells)
         assert cell is not None
-        members = sorted(v for v in range(self.n) if colors[v] == cell)
-        fixed_set = set(fixed)
-        parent = list(range(self.n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        known = 0
-        tried: set[int] = set()
-        for v in members:
-            if known < len(self.autos):
-                # fold newly discovered generators into the orbit partition
-                for g in self.autos[known:]:
-                    if all(g[x] == x for x in fixed_set):
-                        for w in range(self.n):
-                            rw, rg = find(w), find(g[w])
-                            if rw != rg:
-                                parent[rg] = rw
-                known = len(self.autos)
-                tried = {find(u) for u in tried}
-            root = find(v)
-            if root in tried:
+        # the tried vertices' orbits under the stored automorphisms that fix
+        # every fixed vertex; automorphisms are only found by visits
+        orbits: set[int] = set()
+        for v in cells[cell]:
+            if v in orbits:
                 continue
-            tried.add(root)
             child = _refine(self.graph, _individualize(colors, v), [cell])
             assert child is not None
             self.branches.append(v)
@@ -396,6 +373,13 @@ class _CanonicalSearch:
             self.branches.pop()
             if jump < depth:
                 return jump
+            orbits.add(v)
+            if self.autos:
+                gens = [g for g in self.autos if all(g[x] == x for x in fixed)]
+                size = 0
+                while size < len(orbits):
+                    size = len(orbits)
+                    orbits |= {g[u] for g in gens for u in orbits}
         return self._NO_JUMP
 
 
@@ -422,10 +406,7 @@ def _canonical(graph: tuple[tuple[int, ...], tuple[int, ...]]
     else:
         members = list(classes.values())
         reps = [m[0] for m in members]
-        quotient = tuple(
-            tuple(sum(((bits[r] >> s) & 1) << j for j, s in enumerate(reps))
-                  for r in reps)
-            for bits in (rows, cols))
+        quotient = (_relabeled_rows(rows, reps), _relabeled_rows(cols, reps))
         sizes = sorted({len(m) for m in members})
         colors = [sizes.index(len(m)) for m in members]
         order = [v for c in _CanonicalSearch(quotient, colors).run()

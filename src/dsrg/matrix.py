@@ -278,14 +278,14 @@ def block_compose(layout: Sequence[Sequence[BinMatrix]]) -> BinMatrix:
 def _relabeled_rows(rows: Sequence[int],
                     order: Sequence[int]) -> tuple[int, ...]:
     """Rows of the matrix whose entry (r, c) is entry (order[r], order[c])."""
-    # Rows order[0], order[1], ... spelled as n-digit binary strings and
-    # joined hold column order[c] at every n-th character from n-1-order[c].
-    # Those columns joined put entry (r, c) of the result at flat[c*n + r],
-    # so row r, most significant bit first, is flat[(n-1)*n + r::-n].
-    n = len(order)
+    # order may list m of the n = len(rows) vertices.  Its rows spelled as
+    # n-digit binary strings and joined hold column v at every n-th character
+    # from n-1-v; its m columns joined put entry (r, c) at flat[c*m + r], so
+    # row r, most significant bit first, is flat[(m-1)*m + r::-m].
+    n, m = len(rows), len(order)
     spelled = "".join(map(f"{{:0{n}b}}".format, [rows[v] for v in order]))
     flat = "".join([spelled[n - 1 - v::n] for v in order])
-    return tuple(int(flat[(n - 1) * n + r::-n], 2) for r in range(n))
+    return tuple(int(flat[(m - 1) * m + r::-m], 2) for r in range(m))
 
 
 def conjugate_by_perm(a: BinMatrix, p: PermSpec) -> BinMatrix:

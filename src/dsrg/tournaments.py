@@ -385,7 +385,8 @@ def enumerate_regular_tournaments(n: int,
     through ``iso.classify``; the output carries each class's canonical
     matrix, sorted, so repeated runs are identical.  Orders above
     ``limit`` are refused (order 13 has 1,495,297 classes); pass a larger
-    limit explicitly to override.
+    limit explicitly to override.  The limit is the only order guard: the
+    classification runs with isomorphism bound n.
     """
     if n < 1 or n % 2 == 0:
         raise InputError(f"regular tournaments have positive odd order, got {n}")
@@ -397,8 +398,9 @@ def enumerate_regular_tournaments(n: int,
         return [Tournament(BinMatrix.zeros(1))]
     k = (n - 1) // 2
     out = []
-    for cert, _ in iso.classify(BinMatrix(n, rows)
-                                for rows in _neighbourhood_candidates(n)):
+    for cert, _ in iso.classify((BinMatrix(n, rows)
+                                 for rows in _neighbourhood_candidates(n)),
+                                bound=n):
         t = Tournament(cert.canonical)
         if t.valency != k:
             raise AssertionError(

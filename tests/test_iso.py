@@ -362,31 +362,57 @@ def test_equal_parameter_lem6_pair_at_48():
                 assert w is not None and conjugate_by_perm(g, w) == copy
 
 
-def test_witness_and_canonical_golden():
-    # pins every witness image (or None) and canonical matrix byte for byte:
-    # two seeded relabelled copies of each twin-free output at n <= 48, then
-    # every pair of those outputs with equal parameters
+def _golden_inputs():
+    """The twin-free outputs at n <= 48, two seeded relabelled copies of
+    each as (output, copy) pairs, and every pair of outputs with equal
+    parameters."""
     sources = [r for r in all_construction_results(48) if _twin_free(r.adj)]
     rng = random.Random(48)
+    copies = []
+    for r in sources:
+        for _ in range(2):
+            images = list(range(r.adj.n))
+            rng.shuffle(images)
+            copies.append((r.adj,
+                           conjugate_by_perm(r.adj, PermSpec(tuple(images)))))
+    pairs = [(r.adj, s.adj) for i, r in enumerate(sources)
+             for s in sources[i + 1:] if r.params == s.params]
+    return sources, copies, pairs
+
+
+def test_witness_and_canonical_golden():
+    # pins every witness image (or None) and canonical matrix byte for byte:
+    # each copy's witness and canonical matrix, then each pair's witness
+    sources, copies, pairs = _golden_inputs()
     digest = hashlib.sha256()
 
     def feed(witness):
         digest.update(repr(None if witness is None
                            else witness.images).encode())
-    for r in sources:
-        for _ in range(2):
-            images = list(range(r.adj.n))
-            rng.shuffle(images)
-            copy = conjugate_by_perm(r.adj, PermSpec(tuple(images)))
-            feed(are_isomorphic(r.adj, copy))
-            digest.update(repr(canonical_form(copy).canonical.rows).encode())
-    pairs = [(r, s) for i, r in enumerate(sources) for s in sources[i + 1:]
-             if r.params == s.params]
-    for r, s in pairs:
-        feed(are_isomorphic(r.adj, s.adj))
+    for a, copy in copies:
+        feed(are_isomorphic(a, copy))
+        digest.update(repr(canonical_form(copy).canonical.rows).encode())
+    for a, b in pairs:
+        feed(are_isomorphic(a, b))
     assert (len(sources), len(pairs)) == (89, 131)
     assert digest.hexdigest() == \
         "80b4b98e97f7815a0b25db1d58b77f0660b6453f26ff82c5d475ac04d32753ba"
+
+
+def test_refine_call_count_pinned():
+    # equal outputs cannot show weaker orbit pruning or a node refined twice;
+    # the number of refinements can.  Canonical forms of every output at
+    # n <= 48, then the golden's are_isomorphic calls
+    results = all_construction_results(48)
+    _, copies, pairs = _golden_inputs()
+    with mock.patch.object(iso, "_refine", wraps=iso._refine) as refine:
+        for r in results:
+            canonical_form(r.adj)
+        canonical_calls = refine.call_count
+        for a, b in copies + pairs:
+            are_isomorphic(a, b)
+    assert (canonical_calls, refine.call_count - canonical_calls) == \
+        (693, 3542)
 
 
 # -- property tests on graphs with twins -------------------------------------
@@ -667,13 +693,12 @@ def individualized_children(draw):
     stable = full_signature_refinement(graphs, parents)
     if stable is None:
         return None
-    sizes = iso._cell_sizes(stable[0])
-    cells = [c for c, size in enumerate(sizes) if size > 1]
+    cells = [c for c, m in enumerate(iso._cells(stable[0])) if len(m) > 1]
     if not cells:
         return None
     cell = draw(st.sampled_from(cells))
     children = [iso._individualize(colors, draw(st.sampled_from(
-        [v for v in range(n) if colors[v] == cell]))) for colors in stable]
+        iso._cells(colors)[cell]))) for colors in stable]
     return graphs, children, cell
 
 
@@ -701,6 +726,42 @@ def test_refine_joint_from_new_singleton_matches_oracle(inputs):
         assert len(graphs) == 2 and expected is None and got is not None
         assert all(sorted(c) == list(range(n)) for c in got)
         assert not _color_matching_is_isomorphism(graphs, got)
+
+
+# -- node primitives of both searches ---------------------------------------
+
+
+@st.composite
+def colorings(draw):
+    """Colorings of 1 to 14 vertices: arbitrary ids, empty cells allowed,
+    or a few singletons followed by one cell of the rest, as the canonical
+    search meets them on its way to a leaf."""
+    n = draw(st.integers(1, 14))
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    fixed = draw(st.integers(0, n))
+    return [min(order[v], fixed) for v in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(colorings())
+@example([0])
+@example([1, 0, 1])
+@example([2, 0, 1])
+def test_cell_primitives_match_per_vertex_definitions(colors):
+    n = len(colors)
+    cells = iso._cells(colors)
+    assert cells == [[v for v in range(n) if colors[v] == c]
+                     for c in range(max(colors) + 1)]
+    # the smallest non-singleton cell, the lowest id among equal sizes
+    ranked = sorted((colors.count(c), c) for c in set(colors)
+                    if colors.count(c) > 1)
+    assert iso._target_cell(cells) == (ranked[0][1] if ranked else None)
+    # a vertex is fixed when it and every lower color are alone in a cell
+    fixed = [v for v in range(n) if all(colors.count(c) == 1
+                                        for c in range(colors[v] + 1))]
+    assert iso._fixed_prefix(cells) == sorted(fixed, key=colors.__getitem__)
 
 
 # -- property tests on twin-free graphs --------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dsrg import (BinMatrix, DimensionError, PermSpec, block_compose,
                   conjugate_by_perm, cycle_power, kronecker, mat_mul_count,
                   sigma_circulant)
+from dsrg.matrix import _relabeled_rows
 
 
 def random_binmatrix(rng, n, zero_diag=True):
@@ -187,6 +188,31 @@ def test_conjugate_matches_per_bit_reference(inputs):
     b = conjugate_by_perm(a, p)
     assert b == _conjugate_per_bit(a, p)
     assert conjugate_by_perm(b, p.inverse()) == a
+
+
+@st.composite
+def rows_and_sub_order(draw):
+    """Rows of order 1 to 70 and m of their vertices in some order: a
+    shuffled prefix, or ascending as twin-class representatives are."""
+    n = draw(st.integers(1, 70))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    return rows, sorted(order) if draw(st.booleans()) else order
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows_and_sub_order())
+# a 3-cycle blown up to classes {0, 1}, {2}, {3, 4, 5}, cut to its
+# quotient on the representatives 0, 2, 3
+@example(([0b000100, 0b000100, 0b111000, 0b000011, 0b000011, 0b000011],
+          [0, 2, 3]))
+@example(([0b1], [0]))
+def test_relabeled_rows_on_sub_order_matches_per_bit(inputs):
+    rows, order = inputs
+    m = len(order)
+    assert _relabeled_rows(rows, order) == tuple(
+        sum(((rows[order[r]] >> order[c]) & 1) << c for c in range(m))
+        for r in range(m))
 
 
 def test_conjugate_preserves_invariants():

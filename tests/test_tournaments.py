@@ -369,6 +369,17 @@ def test_enumeration_refuses_large_order():
         enumerate_regular_tournaments(13)
 
 
+def test_enumeration_limit_is_the_only_order_guard():
+    # a raised limit admits order 49, above the isomorphism default bound 48;
+    # one circulant stands in for the candidates, which order 49 cannot list
+    t = circulant_tournament(49, range(1, 25))
+    with mock.patch("dsrg.tournaments._neighbourhood_candidates",
+                    return_value=iter([t.adj.rows])):
+        reps = enumerate_regular_tournaments(49, limit=49)
+    assert len(reps) == 1
+    assert are_isomorphic(reps[0].adj, t.adj, 49) is not None
+
+
 @functools.lru_cache(maxsize=None)
 def canonical_classes(n):
     return {t.adj: t for t in enumerate_regular_tournaments(n)}
