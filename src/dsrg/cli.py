@@ -33,9 +33,12 @@ from .tournaments import (ENUMERATION_LIMIT, NotTournament, Tournament,
                           circulant_tournament, enumerate_regular_tournaments,
                           is_doubly_regular_tournament, paley_tournament)
 
-# dsrg feasible 1000 takes about a minute (58-59 s on a 2-vCPU x86-64 host,
-# Python 3.11); the scan grows roughly as max_n^3
+# dsrg feasible 1000 prints 191,210 tuples in 4.4-4.6 s on a 2-vCPU x86-64
+# host (Python 3.11); the time grows a little faster than max_n^2
 FEASIBLE_MAX_N = 1000
+# the highest --limit accepted: order 13 (1,495,297 classes) is the most
+# the enumeration from vertex 0's neighbourhoods is meant to reach
+TOURNAMENT_LIMIT_CEILING = 13
 
 
 def parse_tournament(desc: str, vertices: Callable[[int], int] = int
@@ -220,6 +223,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_tournaments(args: argparse.Namespace) -> int:
+    if args.limit > TOURNAMENT_LIMIT_CEILING:
+        raise InputError(f"--limit {args.limit} exceeds the ceiling "
+                         f"{TOURNAMENT_LIMIT_CEILING}")
     reps = enumerate_regular_tournaments(args.n, args.limit)
     print(f"order={args.n} classes={len(reps)}")
     lines = []
@@ -477,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     tn.add_argument("--n", type=int, required=True)
     tn.add_argument("--limit", type=int, default=ENUMERATION_LIMIT,
                     help="largest order enumerated (default %(default)s; "
-                         "higher orders are refused unless raised here)")
+                         "higher orders are refused unless raised here, "
+                         f"up to {TOURNAMENT_LIMIT_CEILING})")
     tn.add_argument("-o", "--output")
     tn.set_defaults(handler=cmd_tournaments)
 

@@ -3,6 +3,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -330,6 +331,19 @@ def test_feasible_200_golden_digest():
     assert len(stdout.splitlines()) == 8525
     assert hashlib.sha256(stdout.encode()).hexdigest() == \
         "5e02950ccbe88b71f15a025dadae62869844652794c2a7ff5916a7fa770e93a5"
+
+
+@pytest.mark.parametrize("max_n, lines, digest", [
+    (300, 19093,
+     "e93e075bf5342f064c54073c3bd9b15d2a15f1be929313368d4ce6ae5a3ea998"),
+    (500, 50895,
+     "82c5655b79406560ce9eb3278da782437803fb06200320b56526846c2509e984")])
+def test_feasible_golden_digests(max_n, lines, digest):
+    # pins every tuple of the feasibility tables up to 300 and 500
+    code, stdout, _ = run_cli("feasible", str(max_n))
+    assert code == 0
+    assert len(stdout.splitlines()) == lines
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -690,6 +704,15 @@ def test_bound_below_one_is_refused(argv, capsys):
 def test_tournaments_limit_refusal_is_input_error():
     code, _, stderr = run_cli("tournaments", "--n", "13")
     assert code == 2 and "limit" in stderr
+
+
+def test_tournaments_limit_above_ceiling_is_refused_at_once(capsys):
+    # a limit the enumeration cannot reach is refused before it starts
+    start = time.perf_counter()
+    assert main(["tournaments", "--n", "49", "--limit", "49"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == (
+        "", "input error: --limit 49 exceeds the ceiling 13\n")
 
 
 def test_tournaments_negative_order_is_rejected():

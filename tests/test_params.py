@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 import random
 import time
 from fractions import Fraction
@@ -135,7 +136,7 @@ def test_enumerate_feasible_small():
 
 
 def test_iter_feasible_yields_before_the_scan_ends():
-    # the scan to 1000 takes about a minute; its first tuple comes at once
+    # the scan to 1000 takes a few seconds; its first tuple comes at once
     start = time.perf_counter()
     first = next(iter_feasible(1000))
     assert time.perf_counter() - start < 1.0
@@ -143,7 +144,7 @@ def test_iter_feasible_yields_before_the_scan_ends():
 
 
 def test_enumerate_feasible_sorted_and_genuine():
-    out = enumerate_feasible(20)
+    out = enumerate_feasible(300)
     assert out == sorted(out, key=lambda p: p.as_tuple())
     assert all(p.is_genuine for p in out)
     assert all(duval_feasible(p).feasible for p in out)
@@ -162,9 +163,9 @@ def test_enumerate_feasible_closed_under_complement():
             assert comp.as_tuple() in found
 
 
-def _scan_oracle(max_n):
-    """The quartic scan enumerate_feasible replaced, kept as its oracle."""
-    found = []
+def _balance_candidates(max_n):
+    """Every (n, k, t, lam, mu) with n <= max_n, 0 <= lam < t < k and
+    1 <= mu <= t that satisfies the balance equation, by a quartic walk."""
     for n in range(1, max_n + 1):
         for k in range(2, n):
             denom = n - 1 - k
@@ -179,15 +180,60 @@ def _scan_oracle(max_n):
                     mu = numer // denom
                     if not 1 <= mu <= t:
                         continue
-                    p = DsrgParams(n, k, t, lam, mu)
-                    if duval_feasible(p).feasible:
-                        found.append(p)
-    return found
+                    yield DsrgParams(n, k, t, lam, mu)
+
+
+def _scan_oracle(max_n):
+    """The quartic scan enumerate_feasible replaced, kept as its oracle."""
+    return [p for p in _balance_candidates(max_n) if duval_feasible(p).feasible]
 
 
 @pytest.mark.parametrize("max_n", [*range(13), 60, 120])
 def test_enumerate_feasible_matches_scan_oracle(max_n):
     assert enumerate_feasible(max_n) == _scan_oracle(max_n)
+
+
+@functools.cache
+def _scan_oracle_60():
+    return _scan_oracle(60)
+
+
+def _eigenvalue_span(p):
+    """(rho, sigma, full) of a feasible tuple: Duval's eigenvalues, and
+    whether every rho in [0, d - 1] of its pair x = k - rho, y = k - sigma
+    (d = y - x) meets t < k, so that the scan takes its span whole."""
+    n, k, t, lam, mu = p.as_tuple()
+    d = math.isqrt((mu - lam) ** 2 + 4 * (t - mu))
+    rho = (lam - mu + d) // 2
+    x = k - rho
+    return rho, rho - d, (d - 1) ** 2 // 4 < x - mu
+
+
+def test_scan_oracle_60_reaches_every_eigenvalue_span():
+    # the spans the drawn comparison below exercises: rho = 0 (t = mu),
+    # sigma = -1 (t = lam + 1), a whole span and two end spans with a gap
+    spans = [_eigenvalue_span(p) for p in _scan_oracle_60()]
+    assert any(rho == 0 for rho, _, _ in spans)
+    assert any(sigma == -1 for _, sigma, _ in spans)
+    assert {full for _, _, full in spans} == {True, False}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 60))
+def test_iter_feasible_matches_scan_oracle_drawn(max_n):
+    assert list(iter_feasible(max_n)) == \
+        [p for p in _scan_oracle_60() if p.n <= max_n]
+
+
+def test_scan_judges_each_square_discriminant_candidate_once():
+    # the candidates are the (n, k, t, lambda) that balance and the order
+    # conditions allow with a square (mu - lambda)^2 + 4(t - mu); the
+    # eigenvalue scan reaches each once and nothing else
+    with mock.patch.object(params, "_mu_band_ok",
+                           wraps=params._mu_band_ok) as judged:
+        enumerate_feasible(60)
+    squares = sum(duval_feasible(p).square_ok for p in _balance_candidates(60))
+    assert judged.call_count == squares
 
 
 def test_scan_builds_params_only_for_yielded_tuples():
