@@ -24,9 +24,8 @@ def parse_adj(data: bytes) -> BinMatrix:
     if not data.endswith(b"\n"):
         raise AdjFormatError(max(1, data.count(b"\n") + 1),
                              "file must end with a line feed")
+    # at least one piece: data ends with a line feed
     lines = data.split(b"\n")[:-1]
-    if not lines:
-        raise AdjFormatError(1, "empty file")
     if not lines[0].isdigit():
         raise AdjFormatError(1, f"order is not a decimal integer: {lines[0]!r}")
     n = int(lines[0])

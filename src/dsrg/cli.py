@@ -29,16 +29,13 @@ from .numth import is_prime
 # traced feasible run no longer records that span
 from .params import (DsrgParams, NotDsrg, enumerate_feasible,  # noqa: F401
                      iter_feasible, verify_dsrg)
-from .tournaments import (ENUMERATION_LIMIT, NotTournament, Tournament,
-                          circulant_tournament, enumerate_regular_tournaments,
+from .tournaments import (NotTournament, Tournament, circulant_tournament,
+                          enumerate_regular_tournaments,
                           is_doubly_regular_tournament, paley_tournament)
 
 # dsrg feasible 1000 prints 191,210 tuples in 4.4-4.6 s on a 2-vCPU x86-64
 # host (Python 3.11); the time grows a little faster than max_n^2
 FEASIBLE_MAX_N = 1000
-# the highest --limit accepted: order 13 (1,495,297 classes) is the most
-# the enumeration from vertex 0's neighbourhoods is meant to reach
-TOURNAMENT_LIMIT_CEILING = 13
 
 
 def parse_tournament(desc: str, vertices: Callable[[int], int] = int
@@ -223,10 +220,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_tournaments(args: argparse.Namespace) -> int:
-    if args.limit > TOURNAMENT_LIMIT_CEILING:
-        raise InputError(f"--limit {args.limit} exceeds the ceiling "
-                         f"{TOURNAMENT_LIMIT_CEILING}")
-    reps = enumerate_regular_tournaments(args.n, args.limit)
+    reps = enumerate_regular_tournaments(args.n)
     print(f"order={args.n} classes={len(reps)}")
     lines = []
     for t in reps:
@@ -331,7 +325,7 @@ def all_construction_results(max_n: int,
                 if is_doubly_regular_tournament(t) is not None:
                     attempt(lambda: cons.team_dsrg(t, label),
                             f"lem5({label})")
-            if 2 * order <= max_n and order <= 11:
+            if 2 * order <= max_n and order <= cons.PQ_SEARCH_BOUND:
                 for p in cons.pq_search(t)[:1]:
                     images = ",".join(map(str, p.images))
                     attempt(lambda: cons.pq_dsrg(t, p, f"{label},p={images}"),
@@ -481,10 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     tn = sub.add_parser("tournaments", help="enumerate regular tournaments")
     tn.add_argument("--n", type=int, required=True)
-    tn.add_argument("--limit", type=int, default=ENUMERATION_LIMIT,
-                    help="largest order enumerated (default %(default)s; "
-                         "higher orders are refused unless raised here, "
-                         f"up to {TOURNAMENT_LIMIT_CEILING})")
     tn.add_argument("-o", "--output")
     tn.set_defaults(handler=cmd_tournaments)
 

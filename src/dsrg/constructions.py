@@ -299,17 +299,22 @@ def pq_dsrg(qmat: Tournament, p: PermSpec,
                    (2 * (2 * mu + 1), 2 * mu, mu, mu - 1, mu))
 
 
-def pq_search(qmat: Tournament, bound: int = 11) -> list[PermSpec]:
+# the largest tournament order pq_search accepts; the catalog's pq sweep
+# stops at the same order
+PQ_SEARCH_BOUND = 11
+
+
+def pq_search(qmat: Tournament) -> list[PermSpec]:
     """All involutions making the row-permuted tournament symmetric.
 
     Involutions are built in lexicographic image order (fixed point
     first, then swaps with ascending partners); a branch is pruned as soon
     as a newly assigned row i of PQ disagrees with column i on an already
-    assigned vertex.
+    assigned vertex.  Orders above PQ_SEARCH_BOUND are refused.
     """
-    if qmat.order > bound:
+    if qmat.order > PQ_SEARCH_BOUND:
         raise BoundExceeded(
-            f"order {qmat.order} exceeds the search bound {bound}")
+            f"order {qmat.order} exceeds the search bound {PQ_SEARCH_BOUND}")
     rows = qmat.adj.rows
     images = [-1] * qmat.order
     assigned: list[int] = []

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .constructions import ConstructionResult
+from .constructions import ConstructionResult, _result
 from .iso import BoundExceeded
 from .matrix import (BinMatrix, InputError, _indicator, block_compose,
                      sigma_circulant)
@@ -290,13 +290,8 @@ def hobart_shaw(lam: int, parity: str) -> ConstructionResult:
                          f"0 < t < k); the even case requires lam >= 2")
     c = sigma_circulant(n_rot, _indicator(n_rot, range(1, rotations + 1)), 1)
     x = sigma_circulant(n_rot, _indicator(n_rot, range(rotations + 1)), -1)
-    adj = block_compose([[c, x], [x, c]])
-    params = try_verify_dsrg(adj)
-    if params is None or params.as_tuple() != expected:
-        raise AssertionError(f"dihedral subset verified as {params}, "
-                             f"expected {expected}")
-    return ConstructionResult("hobart_shaw", f"lam={lam},{parity}",
-                              adj, params)
+    return _result("hobart_shaw", f"lam={lam},{parity}",
+                   block_compose([[c, x], [x, c]]), expected)
 
 
 def cayley_subset_scan(g: GroupTable, max_results: int | None = None

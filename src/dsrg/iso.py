@@ -54,7 +54,7 @@ _MAX_STORED_AUTOMORPHISMS = 64
 
 
 class BoundExceeded(InputError):
-    """An order limit was exceeded; pass a larger bound explicitly."""
+    """An order limit was exceeded."""
 
 
 def _check_bound(n: int, bound: int) -> None:

@@ -7,8 +7,8 @@ regular tournaments (each out-neighborhood spans a regular tournament,
 order 4*lam+3) feed the team-tournament constructions.  This module
 builds circulant and quadratic-residue tournaments, certifies the defining
 properties, assembles the bordered two-team layout, and enumerates
-regular tournaments up to isomorphism at small orders (through order 11 by
-default).  The enumeration fixes vertex 0's out- and in-neighbourhoods to
+regular tournaments up to isomorphism through order ENUMERATION_LIMIT (11).
+The enumeration fixes vertex 0's out- and in-neighbourhoods to
 one representative per class of half-order tournaments and fills in the
 cross arcs between them up to the representatives' automorphisms, so it
 yields few more candidates than there are classes, which are then keyed
@@ -372,9 +372,7 @@ def _neighbourhood_candidates(n: int) -> Iterator[tuple[int, ...]]:
                     yield rows
 
 
-def enumerate_regular_tournaments(n: int,
-                                  limit: int = ENUMERATION_LIMIT
-                                  ) -> list[Tournament]:
+def enumerate_regular_tournaments(n: int) -> list[Tournament]:
     """One canonical representative per isomorphism class of regular
     tournaments of odd order n.
 
@@ -384,16 +382,15 @@ def enumerate_regular_tournaments(n: int,
     9, 1,366 for the 1,223 of order 11) and grouped by canonical form
     through ``iso.classify``; the output carries each class's canonical
     matrix, sorted, so repeated runs are identical.  Orders above
-    ``limit`` are refused (order 13 has 1,495,297 classes); pass a larger
-    limit explicitly to override.  The limit is the only order guard: the
+    ENUMERATION_LIMIT are refused: order 13 has 1,495,297 classes, beyond
+    what this generation reaches.  That limit is the only order guard; the
     classification runs with isomorphism bound n.
     """
     if n < 1 or n % 2 == 0:
         raise InputError(f"regular tournaments have positive odd order, got {n}")
-    if n > limit:
+    if n > ENUMERATION_LIMIT:
         raise iso.BoundExceeded(
-            f"order {n} exceeds the enumeration limit {limit}; "
-            f"pass limit={n} explicitly to override")
+            f"order {n} exceeds the enumeration limit {ENUMERATION_LIMIT}")
     if n == 1:
         return [Tournament(BinMatrix.zeros(1))]
     k = (n - 1) // 2

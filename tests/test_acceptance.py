@@ -207,6 +207,6 @@ def test_criterion_11_enumeration_oracle():
 
 
 def test_criterion_11_stretch_order_11():
-    reps = enumerate_regular_tournaments(11, limit=11)
+    reps = enumerate_regular_tournaments(11)
     print(f"order 11 classes: {len(reps)}")
     assert len(reps) == 1223

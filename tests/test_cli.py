@@ -706,13 +706,19 @@ def test_tournaments_limit_refusal_is_input_error():
     assert code == 2 and "limit" in stderr
 
 
-def test_tournaments_limit_above_ceiling_is_refused_at_once(capsys):
-    # a limit the enumeration cannot reach is refused before it starts
-    start = time.perf_counter()
-    assert main(["tournaments", "--n", "49", "--limit", "49"]) == 2
-    assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr() == (
-        "", "input error: --limit 49 exceeds the ceiling 13\n")
+def test_tournaments_above_enumeration_limit_is_refused_at_once(capsys):
+    # an order the enumeration cannot reach is refused before it starts,
+    # and no flag raises the limit
+    for n in ("13", "49"):
+        start = time.perf_counter()
+        assert main(["tournaments", "--n", n]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == (
+            "", f"input error: order {n} exceeds the enumeration limit 11\n")
+    with pytest.raises(SystemExit) as info:
+        main(["tournaments", "--n", "13", "--limit", "13"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --limit 13" in capsys.readouterr().err
 
 
 def test_tournaments_negative_order_is_rejected():

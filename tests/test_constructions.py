@@ -1,5 +1,6 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from dsrg import (BinMatrix, PermSpec, Tournament, are_isomorphic,
                   enumerate_regular_tournaments, kronecker,
                   paley_tournament, verify_dsrg)
 from dsrg import constructions as cons
+from dsrg.cli import all_construction_results
 from known_graphs import FIXTURE_8, FIXTURE_10, FIXTURE_14
 
 PI3 = circulant_tournament(3, {1})
@@ -245,6 +247,19 @@ def test_pq_search():
     assert cons.pq_search(TRIVIAL) == [PermSpec.identity(1)]
     with pytest.raises(ValueError, match="bound"):
         cons.pq_search(circulant_tournament(13, set(range(1, 7))))
+
+
+def test_pq_search_bound_governs_search_and_catalog():
+    # one constant bounds both pq_search and the catalog's pq sweep
+    pq_orders = {r.adj.n // 2 for r in all_construction_results(48)
+                 if r.method == "pq"}
+    assert {9, 11} <= pq_orders
+    with mock.patch.object(cons, "PQ_SEARCH_BOUND", 7):
+        with pytest.raises(ValueError, match="search bound 7"):
+            cons.pq_search(circulant_tournament(9, {1, 2, 3, 4}))
+        pq_orders = {r.adj.n // 2 for r in all_construction_results(48)
+                     if r.method == "pq"}
+    assert pq_orders == {3, 5, 7}
 
 
 def _involutions_oracle(n):

@@ -1,8 +1,11 @@
-"""The package's exported names, pinned one a line: a change that adds,
-removes or renames a public name must edit this list, so it shows in the
-diff."""
+"""The package's exported names and the command line's options, pinned:
+a change that adds, removes or renames a public name or a CLI knob must
+edit these lists, so it shows in the diff."""
+
+import argparse
 
 import dsrg
+from dsrg.cli import build_parser
 
 PUBLIC = [
     "AdjFormatError",
@@ -90,3 +93,37 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert sorted(dsrg.__all__) == PUBLIC
+
+
+# option strings of each subcommand, positionals by name, -h/--help left
+# out; the key "" holds the global options
+CLI_OPTIONS = {
+    "": ["--bound"],
+    "construct": ["method", "--tournament", "--w", "--s", "--q", "--sigma1",
+                  "--sigma2", "--s-set", "--perm", "--input", "--m", "--side",
+                  "--group", "--conn", "--lam", "--parity", "-o", "--output"],
+    "verify": ["path"],
+    "feasible": ["max_n"],
+    "classify": ["paths"],
+    "catalog": ["max_n", "-o", "--output"],
+    "tournaments": ["--n", "-o", "--output"],
+    "cayley-scan": ["--group", "--max-results"],
+    "qr-search": ["--q"],
+    "pq-search": ["--tournament"],
+}
+
+
+def _options(parser):
+    return [s for a in parser._actions
+            if not isinstance(a, (argparse._HelpAction,
+                                  argparse._SubParsersAction))
+            for s in a.option_strings or [a.dest]]
+
+
+def test_cli_options_are_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {"": _options(parser)}
+    found.update((name, _options(p)) for name, p in sub.choices.items())
+    assert found == CLI_OPTIONS
