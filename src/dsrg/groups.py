@@ -21,7 +21,7 @@ from .constructions import ConstructionResult, _result
 from .iso import BoundExceeded
 from .matrix import (BinMatrix, InputError, _indicator, block_compose,
                      sigma_circulant)
-from .params import DsrgParams, _first_inconstant, try_verify_dsrg
+from .params import DsrgParams, _class_values, try_verify_dsrg
 
 SCAN_BOUND = 16
 _ASSOCIATIVITY_CHECK_LIMIT = 64
@@ -231,11 +231,11 @@ def cayley_criteria(spec: CayleySpec) -> DsrgParams | None:
             counts[row[s2]] += 1
     labels = ["e" if x == g.identity else "s" if x in spec.conn else "o"
               for x in range(g.order)]
-    first, cell = _first_inconstant([counts], [labels])
-    if cell is not None:
+    value = _class_values([counts], [labels])
+    if value is None:
         return None
     params = DsrgParams(g.order, len(conn), counts[g.identity],
-                        first.get("s", 0), first.get("o", 0))
+                        value.get("s", 0), value.get("o", 0))
     verified = try_verify_dsrg(cayley_graph(spec))
     if verified != params:
         raise AssertionError(

@@ -52,9 +52,9 @@ class BinMatrix:
             raise DimensionError(
                 f"expected {self.n} rows, got {len(self.rows)}")
         mask = _full_mask(self.n)
-        for i, r in enumerate(self.rows):
-            if r & ~mask:
-                raise DimensionError(f"row {i} has bits beyond column {self.n - 1}")
+        if min(self.rows) < 0 or max(self.rows) > mask:
+            i = next(i for i, r in enumerate(self.rows) if r & ~mask)
+            raise DimensionError(f"row {i} has bits beyond column {self.n - 1}")
 
     # -- constructors ------------------------------------------------------
 
@@ -222,6 +222,23 @@ def mat_mul_count(a: BinMatrix, b: BinMatrix) -> IntMatrix:
     bt = b.transpose().rows
     return IntMatrix(a.n, tuple(
         tuple((ra & cb).bit_count() for cb in bt) for ra in a.rows))
+
+
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
+
+
+def _byte_fields(a: BinMatrix) -> tuple[int, bytes, list[int]]:
+    """(w, bits, fields): bits[i*n + j] and field j of fields[i], w bytes
+    wide from bit 8wj, are entry (i, j); w is the least width that holds n."""
+    # the rows spelled last row first, then reversed, put (i, j) at i*n + j;
+    # one strided slice widens each 0/1 byte to a little-endian w-byte field
+    n, w = a.n, (a.n.bit_length() + 7) // 8
+    spelled = "".join(map(f"{{:0{n}b}}".format, reversed(a.rows)))[::-1]
+    bits = spelled.encode().translate(_ZERO_ONE)
+    wide = bytearray(n * n * w)
+    wide[::w] = bits
+    return w, bits, [int.from_bytes(wide[s:s + n * w], "little")
+                     for s in range(0, n * n * w, n * w)]
 
 
 def kronecker(a: BinMatrix, b: BinMatrix) -> BinMatrix:

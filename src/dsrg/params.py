@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator
 
 # mat_mul_count stays a name of this module: bench/spans.py wraps
 # params.mat_mul_count when it traces a run
-from .matrix import BinMatrix, _full_mask, mat_mul_count  # noqa: F401
+from .matrix import (BinMatrix, _byte_fields, _full_mask,  # noqa: F401
+                     mat_mul_count)
 
 GENUINE = "genuine"
 UNDIRECTED = "undirected"
@@ -85,64 +87,62 @@ def verify_dsrg(a: BinMatrix) -> DsrgParams:
     no adjacent pairs (A = 0) lambda is reported as 0; classification is
     derived from t vs k, so the complete and empty graphs come out
     "undirected".
+
+    Row i of A is read as one integer of n fields w bytes wide (w holds n):
+    all rows summed give the column sums, and the rows of i's out-neighbours
+    summed give row i of A^2.  With t, lambda and mu read off row 0, row i
+    must equal mu*(1, .., 1) + (lambda - mu)*(row i of A) + (t - mu)*e_i,
+    whose fields are t, lambda or mu, so one comparison checks the row.
     """
     n = a.n
     if not a.has_zero_diagonal():
         bad = next(i for i in range(n) if a.entry(i, i))
         raise ValueError(f"nonzero diagonal at ({bad}, {bad})")
     k = a.row_sum(0)
-    for i in range(n):
-        s = a.row_sum(i)
+    for i, s in enumerate(a.row_sums()):
         if s != k:
             raise NotDsrg("row-sum", (i, i), f"row {i} sums to {s}, row 0 to {k}")
-    cols = a.transpose().rows
-    for j in range(n):
-        s = cols[j].bit_count()
-        if s != k:
-            raise NotDsrg("column-sum", (j, j),
-                          f"column {j} sums to {s}, expected {k}")
-    # A^2 from the rows and the columns already at hand; the class of (i, j)
-    # is "d" on the diagonal, else the bit of A ("1" adjacent, "0" not)
-    sq = [[(r & c).bit_count() for c in cols] for r in a.rows]
-    labels = [row[:i] + "d" + row[i + 1:]
-              for i, row in enumerate(a.row_strings())]
-    first, cell = _first_inconstant(sq, labels)
-    t = sq[0][0]
-    if cell is not None:
-        i, j = cell
-        # each row's diagonal entry is checked before the rest of the row
-        if sq[i][i] != t:
-            raise NotDsrg("t-constancy", (i, i),
-                          f"diagonal of A^2 is {sq[i][i]} at {i}, {t} at 0")
-        if labels[i][j] == "1":
-            raise NotDsrg("lambda-constancy", (i, j),
-                          f"adjacent pair has {sq[i][j]} paths, "
-                          f"expected {first['1']}")
-        raise NotDsrg("mu-constancy", (i, j),
-                      f"non-adjacent pair has {sq[i][j]} paths, "
-                      f"expected {first['0']}")
-    return DsrgParams(n, k, t, first.get("1", 0), first.get("0", 0))
+    w, bits, fields = _byte_fields(a)
+    mask = (1 << 8 * w) - 1
+
+    def field(value: int, j: int) -> int:
+        return value >> 8 * w * j & mask
+    ones = int.from_bytes(b"\1".ljust(w, b"\0") * n, "little")
+    cols = sum(fields)
+    if cols != k * ones:
+        j = next(j for j in range(n) if field(cols, j) != k)
+        raise NotDsrg("column-sum", (j, j),
+                      f"column {j} sums to {field(cols, j)}, expected {k}")
+    squares = [sum(compress(fields, bits[s:s + n]))
+               for s in range(0, n * n, n)]
+    # (A^2)[0][j] at the diagonal, the first adjacent and the first other j
+    t, lam, mu = (field(squares[0], j) if j >= 0 else 0
+                  for j in (0, bits.find(1, 0, n), bits.find(0, 1, n)))
+    for i, square in enumerate(squares):
+        expected = mu * ones + (lam - mu) * fields[i] + ((t - mu) << 8 * w * i)
+        if square == expected:
+            continue
+        if field(square, i) != t:
+            raise NotDsrg("t-constancy", (i, i), f"diagonal of A^2 is "
+                          f"{field(square, i)} at {i}, {t} at 0")
+        diff = square ^ expected  # its lowest bit is in the first bad field
+        j = ((diff & -diff).bit_length() - 1) // (8 * w)
+        if a.entry(i, j):
+            raise NotDsrg("lambda-constancy", (i, j), f"adjacent pair has "
+                          f"{field(square, j)} paths, expected {lam}")
+        raise NotDsrg("mu-constancy", (i, j), f"non-adjacent pair has "
+                      f"{field(square, j)} paths, expected {mu}")
+    return DsrgParams(n, k, t, lam, mu)
 
 
-def _first_inconstant(values, labels) -> tuple[dict, tuple[int, int] | None]:
-    """Check that values[i][j] is constant over each class labels[i][j].
-
-    Returns (first, cell): cell is the first (i, j), in row-major order,
-    whose value differs from the first value seen under its class, or None
-    when every class is constant; first maps each class to its first value
-    seen (before cell).  The common, constant case costs one set of
-    (class, value) pairs; only a failure is located cell by cell.
-    """
+def _class_values(values, labels) -> dict | None:
+    """The one value of each class labels[i][j] over values[i][j], as a
+    dict, or None when some class takes two values."""
     seen = set()
     for label_row, value_row in zip(labels, values):
         seen.update(zip(label_row, value_row))
-    if len({c for c, _ in seen}) < len(seen):
-        first: dict = {}
-        for i, (label_row, value_row) in enumerate(zip(labels, values)):
-            for j, (c, v) in enumerate(zip(label_row, value_row)):
-                if first.setdefault(c, v) != v:
-                    return first, (i, j)
-    return dict(seen), None
+    value = dict(seen)
+    return value if len(value) == len(seen) else None
 
 
 def try_verify_dsrg(a: BinMatrix) -> DsrgParams | None:

@@ -26,7 +26,7 @@ from . import iso
 from .matrix import (BinMatrix, InputError, PermSpec, _full_mask, _indicator,
                      conjugate_by_perm, mat_mul_count, sigma_circulant)
 from .numth import is_prime, quadratic_residues
-from .params import _first_inconstant, try_verify_dsrg
+from .params import _class_values, try_verify_dsrg
 
 ENUMERATION_LIMIT = 11
 
@@ -255,11 +255,11 @@ def is_doubly_regular_team(a: BinMatrix) -> TeamProfile | None:
               for out, into in zip(a.row_strings(), at.row_strings())]
     for i, row in enumerate(labels):
         row[i] = "d"
-    first, cell = _first_inconstant(mat_mul_count(a, a).entries, labels)
+    value = _class_values(mat_mul_count(a, a).entries, labels)
     # the diagonal of A^2 is 0: there are no 2-cycles
-    if cell is not None or "10" not in first or "01" not in first:
+    if value is None or "10" not in value or "01" not in value:
         return None
-    return TeamProfile(first["10"], first["01"], first.get("00", 0), k)
+    return TeamProfile(value["10"], value["01"], value.get("00", 0), k)
 
 
 def _code(rows: Sequence[int], verts: Sequence[int],

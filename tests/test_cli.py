@@ -349,14 +349,19 @@ def test_feasible_golden_digests(max_n, lines, digest):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-@pytest.mark.parametrize("args", [("feasible", "60"), ("catalog", "20")])
-def test_output_unchanged_under_python_O(args):
-    # every check is real code, so stripping asserts changes no output
+@pytest.mark.parametrize("args", [("feasible", "60"), ("catalog", "20"),
+                                  ("verify", "c4.adj")])
+def test_output_unchanged_under_python_O(args, tmp_path):
+    # every check is real code, so stripping asserts changes no output; the
+    # 4-cycle is regular, so verify refuses it (exit 1) in its A^2 check
+    from dsrg import cycle_power
+    write_adj(cycle_power(4, 1), tmp_path / "c4.adj")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     procs = [subprocess.run([sys.executable, *flags, "-m", "dsrg", *args],
-                            capture_output=True, env=env)
+                            capture_output=True, env=env, cwd=tmp_path)
              for flags in ([], ["-O"])]
-    assert [p.returncode for p in procs] == [0, 0]
+    code = 1 if args[0] == "verify" else 0
+    assert [p.returncode for p in procs] == [code, code]
     assert procs[0].stdout and procs[0].stdout == procs[1].stdout
 
 

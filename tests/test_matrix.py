@@ -51,6 +51,16 @@ def test_mat_mul_count_order_mismatch():
         mat_mul_count(BinMatrix.identity(3), BinMatrix.identity(4))
 
 
+@pytest.mark.parametrize("rows, bad", [((0b010, 0b1000, 0b001), 1),
+                                       ((0b010, 0b001, -1), 2),
+                                       ((-4, 0b1000, 0b001), 0)])
+def test_rows_out_of_range_are_refused(rows, bad):
+    # a bit at column n and a negative row each name the first bad row
+    with pytest.raises(DimensionError) as info:
+        BinMatrix(3, rows)
+    assert str(info.value) == f"row {bad} has bits beyond column 2"
+
+
 def test_transpose_examples():
     pi = cycle_power(3, 1)
     assert pi.transpose() == cycle_power(3, 2)

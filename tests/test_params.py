@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from dsrg import (DOUBLY_REGULAR_TOURNAMENT, GENUINE, UNDIRECTED, BinMatrix,
                   DsrgParams, NotDsrg, PermSpec, complement_graph,
                   complement_params, conjugate_by_perm, cycle_power,
-                  duval_feasible, enumerate_feasible, try_verify_dsrg,
-                  verify_dsrg)
+                  duval_feasible, enumerate_feasible, kronecker,
+                  mat_mul_count, try_verify_dsrg, verify_dsrg)
 from dsrg import params
 from dsrg.params import iter_feasible
 from known_graphs import FIXTURE_8, FIXTURE_10, TABLE_2_LEFT, TABLE_2_RIGHT
@@ -355,9 +355,10 @@ def test_try_verify():
     assert try_verify_dsrg(FIXTURE_8) is not None
 
 
-def dense_verify(a):
+def dense_verify(a, sq=None):
     """verify_dsrg's checks, in its order, on dense lists: the outcome as
-    ("ok", parameters) or ("NotDsrg", constraint, position, detail)."""
+    ("ok", parameters) or ("NotDsrg", constraint, position, detail).  sq,
+    when given, stands for the dense product A^2 (a list of rows)."""
     n = a.n
     rows = a.to_lists()
     k = sum(rows[0])
@@ -370,8 +371,9 @@ def dense_verify(a):
         if s != k:
             return ("NotDsrg", "column-sum", (j, j),
                     f"column {j} sums to {s}, expected {k}")
-    sq = [[sum(rows[i][h] * rows[h][j] for h in range(n)) for j in range(n)]
-          for i in range(n)]
+    if sq is None:
+        sq = [[sum(rows[i][h] * rows[h][j] for h in range(n))
+               for j in range(n)] for i in range(n)]
     t = sq[0][0]
     values = {1: None, 0: None}
     for i in range(n):
@@ -515,3 +517,61 @@ def test_verify_dsrg_matches_dense_oracle_property():
     check()
     assert outcomes == {"ok", "row-sum", "column-sum", "t-constancy",
                         "lambda-constancy", "mu-constancy"}
+
+
+def _outcome(a):
+    try:
+        return ("ok", verify_dsrg(a).as_tuple())
+    except NotDsrg as exc:
+        return ("NotDsrg", exc.constraint, exc.position, exc.detail)
+
+
+def popcount_verify(a):
+    """dense_verify with A^2 from the popcount product mat_mul_count."""
+    return dense_verify(a, mat_mul_count(a, a).entries)
+
+
+def test_verify_dsrg_two_byte_fields():
+    # orders from 256 up count paths in 2-byte fields; A x J(10) of a
+    # t = mu output of order 30 has order 300 and every parameter times 10
+    base = next(a for a in _construction_outputs()
+                if a.n == 30 and verify_dsrg(a).t == verify_dsrg(a).mu)
+    n, k, t, lam, mu = verify_dsrg(base).as_tuple()
+    big = kronecker(base, BinMatrix.ones(10))
+    assert _outcome(big) == ("ok", (300, 10 * k, 10 * t, 10 * lam, 10 * mu))
+    rng = random.Random(19)
+    refused = set()
+    for moves_t in (True, False):
+        switched = _switched_once(big, rng, moves_t)
+        assert switched != big
+        got = _outcome(switched)
+        assert got == popcount_verify(switched)
+        refused.add(got[1])
+    assert "t-constancy" in refused and len(refused) == 2
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_verify_dsrg_field_width_boundary(n):
+    # random regular loopless digraphs around the switch from 1-byte to
+    # 2-byte fields at order 256: relabelled circulants (every row and column
+    # sum k, so verify_dsrg reaches its A^2 checks), digraphs with k random
+    # out-neighbours per vertex (column sums vary) and J - I, whose counts
+    # reach n - 1
+    rng = random.Random(n)
+    cases = [complement_graph(BinMatrix.zeros(n))]
+    for k in (1, 3, n // 2, n - 2):
+        shifts = rng.sample(range(1, n), k)
+        circulant = BinMatrix(n, tuple(sum(1 << (i + s) % n for s in shifts)
+                                       for i in range(n)))
+        order = list(range(n))
+        rng.shuffle(order)
+        cases.append(conjugate_by_perm(circulant, PermSpec(tuple(order))))
+        cases.append(BinMatrix(n, tuple(
+            sum(1 << j for j in rng.sample([j for j in range(n) if j != i], k))
+            for i in range(n))))
+    outcomes = set()
+    for a in cases:
+        got = _outcome(a)
+        assert got == popcount_verify(a)
+        outcomes.add(got[0] if got[0] == "ok" else got[1])
+    assert {"ok", "column-sum", "lambda-constancy"} <= outcomes
