@@ -286,6 +286,8 @@ def all_construction_results(max_n: int,
     vertices, in a fixed order, one route per graph: over each regular
     tournament T duval_B, duval_C, m_of, the wide pattern as kron(duval_B(T),
     w, left), tall(T, w), lem6, lem5, pq; then lem7, qr, cayley, Hobart-Shaw.
+    Tournaments stop at order 17 whatever max_n is, so no route builds
+    (38, 18, 9, 8, 9), (42, 20, 10, 9, 10) or (46, 22, 11, 10, 11).
 
     A construction that rejects its input is recorded in ``failures``
     (when given) instead of aborting the run.
@@ -303,6 +305,7 @@ def all_construction_results(max_n: int,
         results.append(result)
         return result
 
+    # orders stop at 17, not at max_n: a higher cap changes catalog 48's output
     for order in range(3, 18, 2):
         k = (order - 1) // 2
         for t, label in _tournament_sources(order):

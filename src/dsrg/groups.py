@@ -21,7 +21,7 @@ from .constructions import ConstructionResult, _result
 from .iso import BoundExceeded
 from .matrix import (BinMatrix, InputError, _indicator, block_compose,
                      sigma_circulant)
-from .params import DsrgParams, _class_values, try_verify_dsrg
+from .params import DsrgParams, try_verify_dsrg
 
 SCAN_BOUND = 16
 _ASSOCIATIVITY_CHECK_LIMIT = 64
@@ -229,13 +229,13 @@ def cayley_criteria(spec: CayleySpec) -> DsrgParams | None:
         row = g.table[s1]
         for s2 in conn:
             counts[row[s2]] += 1
-    labels = ["e" if x == g.identity else "s" if x in spec.conn else "o"
-              for x in range(g.order)]
-    value = _class_values([counts], [labels])
-    if value is None:
+    lam = {counts[x] for x in spec.conn}
+    mu = {counts[x] for x in range(g.order)
+          if x != g.identity and x not in spec.conn}
+    if len(lam) > 1 or len(mu) > 1:
         return None
     params = DsrgParams(g.order, len(conn), counts[g.identity],
-                        value.get("s", 0), value.get("o", 0))
+                        max(lam, default=0), max(mu, default=0))
     verified = try_verify_dsrg(cayley_graph(spec))
     if verified != params:
         raise AssertionError(

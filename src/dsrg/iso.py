@@ -106,12 +106,16 @@ def _refine(graph: tuple[tuple[int, ...], tuple[int, ...]],
     vertex v alone at id ``cell`` and the rest of v's old cell at
     ``cell + 1``, the old cell's last piece, and the parent coloring was
     stable, so by the same argument counts against {v} alone suffice.
+
+    Color ids need not be consecutive: a round splits nothing when its
+    distinct signatures are as many as the colors in use.
     """
     rows, cols = graph
     n = len(colors)
     base = n + 1
     base2 = base * base
     ncolors = max(colors) + 1
+    used = len(set(colors))
     splitters: Sequence[int] = range(ncolors) if first is None else first
     rounds = 0
     while True:
@@ -138,7 +142,7 @@ def _refine(graph: tuple[tuple[int, ...], tuple[int, ...]],
         values = sorted(set(sigs))
         rank = {v: i for i, v in enumerate(values)}
         colors = [rank[s] for s in sigs]
-        if len(values) == ncolors or len(values) == n:
+        if len(values) == used or len(values) == n:
             return colors
         # the leading digit of a signature is its parent color, and ids of
         # one parent are consecutive
@@ -146,7 +150,7 @@ def _refine(graph: tuple[tuple[int, ...], tuple[int, ...]],
         parents = [s // lead for s in values]
         splitters = [i for i in range(len(values) - 1)
                      if parents[i] == parents[i + 1]]
-        ncolors = len(values)
+        ncolors = used = len(values)
 
 
 def _individualize(colors: Sequence[int], v: int) -> list[int]:

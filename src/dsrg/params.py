@@ -135,16 +135,6 @@ def verify_dsrg(a: BinMatrix) -> DsrgParams:
     return DsrgParams(n, k, t, lam, mu)
 
 
-def _class_values(values, labels) -> dict | None:
-    """The one value of each class labels[i][j] over values[i][j], as a
-    dict, or None when some class takes two values."""
-    seen = set()
-    for label_row, value_row in zip(labels, values):
-        seen.update(zip(label_row, value_row))
-    value = dict(seen)
-    return value if len(value) == len(seen) else None
-
-
 def try_verify_dsrg(a: BinMatrix) -> DsrgParams | None:
     """verify_dsrg, but returning None instead of raising NotDsrg."""
     try:

@@ -23,10 +23,12 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from . import iso
-from .matrix import (BinMatrix, InputError, PermSpec, _full_mask, _indicator,
-                     conjugate_by_perm, mat_mul_count, sigma_circulant)
+# mat_mul_count stays a name here: bench/spans.py wraps it when tracing
+from .matrix import (BinMatrix, InputError, PermSpec,  # noqa: F401
+                     _byte_fields, _full_mask, _indicator, conjugate_by_perm,
+                     mat_mul_count, sigma_circulant)
 from .numth import is_prime, quadratic_residues
-from .params import _class_values, try_verify_dsrg
+from .params import try_verify_dsrg
 
 ENUMERATION_LIMIT = 11
 
@@ -216,6 +218,10 @@ def is_doubly_regular_team(a: BinMatrix) -> TeamProfile | None:
     non-adjacency classes are checked); r = 1 degenerates to a plain
     tournament, where gamma is vacuous and reported as 0.  Returns None
     when degrees or path-2 counts are not constant.
+
+    A^2 is read as verify_dsrg reads it, as sums of packed rows; with T the
+    teammate matrix and alpha, beta, gamma read off row 0, row i must equal
+    alpha*A_i + beta*(A^T)_i + gamma*T_i: one integer comparison per row.
     """
     n = a.n
     if not a.has_zero_diagonal():
@@ -228,38 +234,37 @@ def is_doubly_regular_team(a: BinMatrix) -> TeamProfile | None:
             j = ((a.rows[i] & cols[i]) & -(a.rows[i] & cols[i])).bit_length() - 1
             raise ValueError(f"arcs in both directions between {i} and {j}")
     teammates = [~(a.rows[i] | cols[i]) & mask & ~(1 << i) for i in range(n)]
-    seen = [False] * n
-    team_size: int | None = None
+    team_size = teammates[0].bit_count() + 1
     for i in range(n):
-        if seen[i]:
-            continue
-        block = teammates[i] | (1 << i)
-        members = [v for v in range(n) if (block >> v) & 1]
-        for v in members:
+        block = rest = teammates[i] | (1 << i)
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
             if teammates[v] | (1 << v) != block:
                 raise ValueError(
                     f"non-adjacency classes are not cliques (vertices {i}, {v})")
-            seen[v] = True
-        if team_size is None:
-            team_size = len(members)
-        elif team_size != len(members):
+        if block.bit_count() != team_size:
             raise ValueError("non-adjacency cliques have unequal sizes")
-    assert team_size is not None
     m = n // team_size
     k = (m - 1) * team_size // 2
-    if any(r.bit_count() != k for r in a.rows + cols):
+    # k = 0 leaves no arcs, hence no alpha or beta
+    if k == 0 or any(r.bit_count() != k for r in a.rows + cols):
         return None
-    # the class of (i, j): "d" on the diagonal, else the pair of bits
-    # (A, A^T): "10" adjacent, "01" reverse, "00" teammate
-    labels = [[x + y for x, y in zip(out, into)]
-              for out, into in zip(a.row_strings(), at.row_strings())]
-    for i, row in enumerate(labels):
-        row[i] = "d"
-    value = _class_values(mat_mul_count(a, a).entries, labels)
-    # the diagonal of A^2 is 0: there are no 2-cycles
-    if value is None or "10" not in value or "01" not in value:
-        return None
-    return TeamProfile(value["10"], value["01"], value.get("00", 0), k)
+    w, bits, fields = _byte_fields(a)
+    ins = _byte_fields(at)[2]
+    ones = int.from_bytes(b"\1".ljust(w, b"\0") * n, "little")
+    squares = [sum(itertools.compress(fields, bits[s:s + n]))
+               for s in range(0, n * n, n)]
+    # (A^2)[0][j] at the first out-, in- and teammate j of vertex 0
+    alpha, beta, gamma = (squares[0] >> 8 * w * ((r & -r).bit_length() - 1)
+                          & (1 << 8 * w) - 1 if r else 0
+                          for r in (a.rows[0], cols[0], teammates[0]))
+    # T_i = (1, .., 1) - e_i - A_i - (A^T)_i; the diagonal of A^2 is 0
+    for i, square in enumerate(squares):
+        if square != (gamma * (ones - (1 << 8 * w * i))
+                      + (alpha - gamma) * fields[i] + (beta - gamma) * ins[i]):
+            return None
+    return TeamProfile(alpha, beta, gamma, k)
 
 
 def _code(rows: Sequence[int], verts: Sequence[int],

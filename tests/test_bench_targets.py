@@ -26,3 +26,27 @@ def test_traced_targets_resolve():
     count, missing = json.loads(proc.stdout)
     assert count > 0
     assert missing == []
+
+
+def test_every_workload_runs_at_toy_size():
+    # test_traced_targets_resolve checks names only; a changed signature of a
+    # function that a workload calls fails here.  Eight processes run at
+    # once: in sequence they take about ten seconds.
+    runs = {(workload, trace): subprocess.Popen(
+                [sys.executable, str(BENCH / "run.py"), "--workload", workload,
+                 "--seed", "1", "--seconds", "0.1", "--trace", str(trace),
+                 "--size", "toy"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for workload in ("catalog", "tournaments", "feasible", "classify")
+            for trace in (0, 1)}
+    try:
+        for key, proc in runs.items():
+            stdout, stderr = proc.communicate(timeout=300)
+            assert proc.returncode == 0, (key, stderr)
+            last = json.loads(stdout.splitlines()[-1])
+            assert last["correct"] is True, (key, stderr)
+            assert last["failed"] == 0, (key, stderr)
+    finally:
+        for proc in runs.values():
+            proc.kill()
+            proc.wait()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import shlex
@@ -222,6 +223,30 @@ def test_construct_pq_bad_permutation_is_input_error(perm, message, capsys):
         "", f"input error: bad permutation {perm!r}: {message}\n")
 
 
+@pytest.mark.parametrize("perm, code, captured", [
+    ("reversal", 0, ("10 4 2 1 2\n", "")),
+    ("identity", 1,
+     ("", "error: PQ is not symmetric: entries (0, 1) differ\n")),
+])
+def test_construct_pq_named_permutations(perm, code, captured, capsys):
+    assert main(["construct", "pq", "--tournament", "standard:5",
+                 "--perm", perm]) == code
+    assert capsys.readouterr() == captured
+
+
+@pytest.mark.parametrize("group, message", [
+    ("dihedral:2", "bad group descriptor 'dihedral:2': dihedral groups here "
+                   "need n >= 3, got 2"),
+    ("bogus:3", "unknown group descriptor kind 'bogus' "
+                "(use cyclic/dihedral/symmetric)"),
+    ("cyclic:x", "bad group descriptor 'cyclic:x': invalid literal for int() "
+                 "with base 10: 'x'"),
+])
+def test_construct_bad_group_descriptor_is_input_error(group, message, capsys):
+    assert main(["construct", "cayley", "--group", group, "--conn", "1"]) == 2
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
 def test_construct_qr_bad_s_set_is_semantic_error():
     code, stdout, stderr = run_cli("construct", "qr", "--q", "5", "--sigma1",
                                    "2", "--sigma2", "3", "--s-set", "1,2")
@@ -429,6 +454,16 @@ def test_tournaments_dump():
     assert stdout.startswith("order=5 classes=1")
 
 
+def test_tournaments_output_file_holds_the_dump(tmp_path, capsys):
+    # with -o the header stays on stdout and the classes go to the file
+    out = tmp_path / "t7.txt"
+    assert main(["tournaments", "--n", "7", "-o", str(out)]) == 0
+    header = capsys.readouterr().out
+    assert header == "order=7 classes=3\n"
+    assert main(["tournaments", "--n", "7"]) == 0
+    assert capsys.readouterr().out == header + out.read_text(encoding="ascii")
+
+
 def test_cayley_scan_cli():
     code, stdout, _ = run_cli("cayley-scan", "--group", "cyclic:8")
     assert code == 0 and stdout.strip() == ""
@@ -568,6 +603,25 @@ def test_catalog_hash_mismatch_asks_for_rebuild(tmp_path):
     path.write_text(text.replace(stale, "0" * len(stale)), encoding="ascii")
     with pytest.raises(ValueError, match="must be rebuilt"):
         read_catalog(path)
+
+
+def test_catalog_header_must_match_its_matrix(tmp_path):
+    text = format_catalog(build_catalog(8))
+    header = text.split("\n")[0]
+    assert header.endswith(" 6 2 1 0 1 8e18d2aed4267758")
+    path = tmp_path / "catalog.txt"
+    path.write_text(text.replace(" 6 2 1 0 1 ", " 6 2 1 1 0 ", 1),
+                    encoding="ascii")
+    with pytest.raises(ValueError, match="re-verifies as 6 2 1 0 1") as info:
+        read_catalog(path)
+    assert info.type is ValueError
+
+
+def test_format_catalog_refuses_whitespace_in_a_field():
+    entry = dataclasses.replace(build_catalog(6)[0], input_descriptor="a b")
+    with pytest.raises(ValueError, match="may not contain whitespace") as info:
+        format_catalog([entry])
+    assert info.type is ValueError
 
 
 def test_catalog_deterministic(tmp_path):

@@ -12,6 +12,7 @@ from dsrg import (BinMatrix, PermSpec, Tournament, are_isomorphic,
                   enumerate_regular_tournaments, kronecker,
                   paley_tournament, verify_dsrg)
 from dsrg import constructions as cons
+from dsrg.matrix import InputError
 from dsrg.cli import all_construction_results
 from known_graphs import FIXTURE_8, FIXTURE_10, FIXTURE_14
 
@@ -417,3 +418,30 @@ def test_bordered_and_cycle_sum_builders_give_lambda_equal_mu(t, s):
         assert p == r.params
         assert p.as_tuple() == expected
         assert p.lam == p.mu == p.t - 1
+
+
+TRANSITIVE3 = Tournament(BinMatrix.from_strings(["011", "001", "000"]))
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: cons.duval_b(TRANSITIVE3), ValueError,
+     "the paired-rows construction needs a regular tournament"),
+    (lambda: cons.duval_b(TRIVIAL), ValueError, "needs valency >= 1, got 0"),
+    (lambda: cons.m_of(BinMatrix.identity(2)), ValueError,
+     "m_of needs a zero diagonal"),
+    (lambda: cons.qr_dsrg(5, 2, 3, {1}), ValueError,
+     "s_set must contain 2 nonzero residues, got [1]"),
+    (lambda: cons.pq_dsrg(Z5, PermSpec.reversal(3)), ValueError,
+     "permutation length 3 != order 5"),
+    (lambda: cons.kronecker_expand(FIXTURE_10, 1), InputError,
+     "expansion factor must exceed 1, got 1"),
+    (lambda: cons.kronecker_expand(FIXTURE_10, 2, side="up"), InputError,
+     "side must be 'left' or 'right', got 'up'"),
+], ids=["irregular", "valency-0", "m-of-loop", "qr-s-set-size",
+        "pq-short-perm", "kron-m-1", "kron-side"])
+def test_construction_refusals(call, error, fragment):
+    # InputError is a bad argument (exit 2), a plain ValueError a rejected
+    # construction (exit 1)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is error and fragment in str(info.value)

@@ -3,8 +3,9 @@ from unittest import mock
 
 import pytest
 
-from dsrg import (BinMatrix, CayleySpec, PermSpec, abelian_groups_up_to,
-                  cayley_criteria, cayley_dsrg, cayley_graph,
+from dsrg import (BinMatrix, CayleySpec, GroupTable, PermSpec,
+                  abelian_groups_up_to, cayley_criteria, cayley_dsrg,
+                  cayley_graph,
                   cayley_subset_scan, conjugate_by_perm, cycle_power,
                   cyclic_group, dihedral_group, direct_product, hobart_shaw,
                   symmetric_group, try_verify_dsrg)
@@ -41,6 +42,36 @@ def test_group_table_validation():
     with pytest.raises(ValueError, match="permutation"):
         from dsrg.groups import GroupTable
         GroupTable.from_table([[0, 0], [1, 1]])
+
+
+def test_group_table_default_names():
+    assert GroupTable.from_table([[0, 1], [1, 0]]).names == ("g0", "g1")
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: GroupTable.from_table([[0, 1]]), ValueError,
+     "multiplication table must be square"),
+    (lambda: GroupTable.from_table([[0, 1], [0, 1]]), ValueError,
+     "column 0 is not a permutation of 0..1"),
+    # x*y = -x-y (mod 3) is a Latin square without an identity
+    (lambda: GroupTable.from_table([[0, 2, 1], [2, 1, 0], [1, 0, 2]]),
+     ValueError, "no two-sided identity element"),
+    # a Latin square with identity 0 that is not a group
+    (lambda: GroupTable.from_table([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2],
+                                    [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+                                    [4, 3, 1, 2, 0]]),
+     ValueError, "associativity fails at (1, 1, 2)"),
+    (lambda: cyclic_group(0), ValueError, "order must be positive, got 0"),
+    (lambda: dihedral_group(2), ValueError, "need n >= 3, got 2"),
+    (lambda: symmetric_group(6), ValueError, "1 <= n <= 5, got 6"),
+    (lambda: hobart_shaw(2, "both"), InputError,
+     "parity must be 'even' or 'odd', got 'both'"),
+], ids=["not-square", "column", "no-identity", "not-associative",
+        "cyclic-0", "dihedral-2", "symmetric-6", "hobart-shaw-parity"])
+def test_group_refusals(call, error, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is error and fragment in str(info.value)
 
 
 def test_dihedral_relations():

@@ -537,15 +537,17 @@ def refine_joint(graphs, colorings, first=None):
 
 def full_signature_refinement(graphs, colorings):
     """Joint refinement that recomputes every vertex's counts against
-    every cell in every round; the oracle for iso._refine."""
+    every cell in every round; the oracle for iso._refine.  Color ids
+    need not be consecutive."""
     n = len(colorings[0])
     base = n + 1
     colorings = [list(c) for c in colorings]
-    ncolors = max(max(c) for c in colorings) + 1
+    ncolors = len(set().union(*map(set, colorings)))
     while True:
+        size = max(max(c) for c in colorings) + 1
         sigs_all = []
         for (rows, cols), colors in zip(graphs, colorings):
-            masks = [0] * ncolors
+            masks = [0] * size
             for v, c in enumerate(colors):
                 masks[c] |= 1 << v
             sigs = []
@@ -648,6 +650,18 @@ def test_refine_joint_matches_full_signature_oracle(inputs):
     assert len(graphs) == 2 and expected is None and got is not None
     assert all(sorted(c) == list(range(n)) for c in got)
     assert not _color_matching_is_isomorphism(graphs, got)
+
+
+def test_refine_start_with_unused_ids_runs_to_stable():
+    # ids 1, 4, 5 and 7 are unused: the first round splits cells and still
+    # yields nine signatures, as many as max(start) + 1
+    graph = ((14, 13, 11, 7, 224, 448, 896, 1792, 1552, 1072, 112),
+             (14, 13, 11, 7, 1792, 1552, 1072, 112, 224, 448, 896))
+    start = [2, 2, 8, 3, 0, 3, 8, 8, 3, 6, 8]
+    for refined in (iso._refine(graph, start),
+                    full_signature_refinement([graph], [start])[0]):
+        assert iso._refine(graph, refined) == refined
+        assert full_signature_refinement([graph], [refined]) == [refined]
 
 
 @st.composite

@@ -152,6 +152,32 @@ def test_block_compose_identity_and_errors():
                        [BinMatrix.identity(2), eye]])
 
 
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: BinMatrix.from_rows([[0, 2], [0, 0]]), ValueError,
+     "matrix entries must be 0 or 1, got 2"),
+    (lambda: BinMatrix(0, ()), DimensionError,
+     "order must be positive, got 0"),
+    (lambda: BinMatrix(2, (0,)), DimensionError, "expected 2 rows, got 1"),
+    (lambda: BinMatrix.from_rows([[0, 1], [0]]), DimensionError,
+     "row 1 has length 1, expected 2"),
+    (lambda: BinMatrix.zeros(2) | BinMatrix.zeros(3), DimensionError,
+     "order mismatch: 2 vs 3"),
+    (lambda: cycle_power(0, 1), DimensionError,
+     "order must be positive, got 0"),
+    (lambda: sigma_circulant(3, [0, 1], 1), DimensionError,
+     "first row has length 2, expected 3"),
+    (lambda: block_compose([[BinMatrix.identity(2)] * 2]), DimensionError,
+     "block grid is not square"),
+    (lambda: conjugate_by_perm(BinMatrix.zeros(3), PermSpec((1, 0))),
+     DimensionError, "permutation length 2 != order 3"),
+], ids=["entry-2", "order-0", "row-count", "ragged", "or-orders",
+        "cycle-power-0", "short-first-row", "grid-not-square", "short-perm"])
+def test_matrix_refusals(call, error, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is error and fragment in str(info.value)
+
+
 def test_conjugate_identity_and_shift():
     pi = cycle_power(3, 1)
     assert conjugate_by_perm(pi, PermSpec.identity(3)) == pi

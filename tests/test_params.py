@@ -91,6 +91,18 @@ def test_complement_graph_involution():
     assert complement_graph(complement_graph(a)) == a
 
 
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: DsrgParams(5, 2, 3, 0, 0), "need 0 <= t <= k <= n-1"),
+    (lambda: DsrgParams(5, 2, 1, -1, 0), "lambda and mu must be non-negative"),
+    (lambda: complement_graph(BinMatrix.identity(2)),
+     "complement requires a zero diagonal"),
+], ids=["t-above-k", "negative-lambda", "complement-loop"])
+def test_params_refusals(call, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is ValueError and fragment in str(info.value)
+
+
 def test_complement_of_three_cycle():
     pi = cycle_power(3, 1)
     comp = complement_graph(pi)

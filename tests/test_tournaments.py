@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 from unittest import mock
 
 import pytest
@@ -249,6 +250,59 @@ def test_team_lem6_rejects_irregular():
     a = BinMatrix.from_strings(["00100", "10000", "01000", "11100", "11110"])
     with pytest.raises(ValueError, match="regular"):
         team_lem6(Tournament(a))
+
+
+def _reversed_triangle(a, rng):
+    """a with one directed 3-cycle reversed, which keeps every in- and
+    out-degree."""
+    rows = list(a.rows)
+    back = []
+    while not back:
+        i = rng.randrange(a.n)
+        j = rng.choice([j for j in range(a.n) if rows[i] >> j & 1])
+        back = [v for v in range(a.n) if rows[j] >> v & 1 and rows[v] >> i & 1]
+    v = rng.choice(back)
+    for x, y in ((i, j), (j, v), (v, i)):
+        rows[x] ^= 1 << y
+        rows[y] |= 1 << x
+    return BinMatrix(a.n, tuple(rows))
+
+
+def test_team_profile_matches_oracle_with_two_byte_fields():
+    # order 256 widens the A^2 count fields to two bytes; a reversed 3-cycle
+    # keeps every degree, so its rows of A^2 are compared and one differs
+    rng = random.Random(256)
+    a = team_lem6(paley_tournament(127))
+    order = list(range(a.n))
+    rng.shuffle(order)
+    cases = [a, conjugate_by_perm(a, PermSpec(tuple(order))),
+             _reversed_triangle(a, rng)]
+    cases += [_perturbed(a, rng, rng.randint(1, 3)) for _ in range(4)]
+    outcomes = set()
+    for b in cases:
+        expected = _outcome(_is_doubly_regular_team_oracle, b)
+        assert _outcome(is_doubly_regular_team, b) == expected
+        outcomes.add(type(expected).__name__)
+    assert outcomes == {"TeamProfile", "NoneType", "str"}
+    assert is_doubly_regular_team(a) == TeamProfile(63, 63, 127, 127)
+
+
+@pytest.mark.parametrize("call, error, fragment", [
+    (lambda: is_doubly_regular_team(BinMatrix.identity(2)), ValueError,
+     "team tournaments have zero diagonal"),
+    (lambda: circulant_tournament(5, {0, 1, 2}), ValueError,
+     "residue 0 is not allowed"),
+    (lambda: paley_tournament(5), ValueError, "need a prime q = 3 (mod 4)"),
+    (lambda: cycle_sum_family(4, "odd"), ValueError, "need odd n >= 3"),
+    (lambda: cycle_sum_family(5, "run", 3), ValueError,
+     "run family needs 0 <= j <= k = 2, got 3"),
+    (lambda: cycle_sum_family(5, "all"), ValueError, "unknown family 'all'"),
+], ids=["team-loop", "residue-0", "paley-5", "family-even-order",
+        "family-run-j", "family-unknown"])
+def test_tournament_refusals(call, error, fragment):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert info.type is error and fragment in str(info.value)
 
 
 def test_degenerate_team_is_tournament_check():
@@ -561,7 +615,6 @@ def _perturbed(a, rng, count):
 
 
 def test_team_profile_matches_oracle_on_layouts_and_perturbations():
-    import random
     rng = random.Random(6)
     tournaments = [t for n in (1, 3, 5, 7)
                    for t in enumerate_regular_tournaments(n)]
