@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -39,31 +40,37 @@ FEASIBLE_MAX_N = 1000
 
 
 def parse_tournament(desc: str, vertices: Callable[[int], int] = int
-                     ) -> tuple[Tournament, str]:
-    """Tournament descriptors: circulant:N:e1,e2  paley:Q  standard:N  adj:PATH.
+                     ) -> Tournament:
+    """Tournament descriptors: circulant:N:e1,e2  standard:N  paley:Q
+    enum:N:I (class I of enumerate_regular_tournaments(N))  adj:PATH.
 
     ``vertices`` maps the order of the tournament to that of the graph
     built over it; a descriptor whose graph would exceed cons.MAX_VERTICES
     is refused before the tournament is built.
     """
     kind, _, rest = desc.partition(":")
-    if kind not in ("circulant", "standard", "paley", "adj"):
+    if kind not in ("circulant", "standard", "paley", "enum", "adj"):
         raise InputError(f"unknown tournament descriptor kind {kind!r} "
-                         f"(use circulant/standard/paley/adj)")
+                         f"(use circulant/standard/paley/enum/adj)")
     try:
         if kind == "adj":
             adj = read_adj(rest)
             cons.check_vertex_cap(vertices(adj.n))
-            return Tournament(adj), desc
-        n_text, _, conn_text = rest.partition(":")
-        n = int(n_text if kind == "circulant" else rest)
+            return Tournament(adj)
+        n_text, _, tail = rest.partition(":")
+        n = int(rest if kind in ("standard", "paley") else n_text)
         cons.check_vertex_cap(vertices(n))
         if kind == "circulant":
-            conn = {int(e) for e in conn_text.split(",") if e}
-            return circulant_tournament(n, conn), desc
+            return circulant_tournament(n, {int(e) for e in tail.split(",") if e})
         if kind == "standard":
-            return circulant_tournament(n, set(range(1, (n + 1) // 2))), desc
-        return paley_tournament(n), desc
+            return circulant_tournament(n, set(range(1, (n + 1) // 2)))
+        if kind == "paley":
+            return paley_tournament(n)
+        i = int(tail)
+        classes = enumerate_regular_tournaments(n)
+        if not 0 <= i < len(classes):
+            raise ValueError(f"no class {i} among the {len(classes)} of order {n}")
+        return classes[i]
     except iso.BoundExceeded:
         raise
     except (ValueError, OSError) as exc:
@@ -71,10 +78,8 @@ def parse_tournament(desc: str, vertices: Callable[[int], int] = int
 
 
 def parse_perm(spec: str, n: int) -> PermSpec:
-    if spec == "reversal":
-        return PermSpec.reversal(n)
-    if spec == "identity":
-        return PermSpec.identity(n)
+    if spec in ("reversal", "identity"):
+        return getattr(PermSpec, spec)(n)
     try:
         perm = PermSpec(tuple(int(x) for x in spec.split(",")))
         if len(perm) != n:
@@ -105,81 +110,84 @@ def parse_group(desc: str) -> grp.GroupTable:
                      f"(use cyclic/dihedral/symmetric)")
 
 
-def _first_qr(q: int) -> cons.ConstructionResult:
-    """The quadratic-residue graph over the first triple of qr_search."""
-    return cons.qr_dsrg(q, *cons.qr_search(q)[0])
+# -- construct: one table row per catalog method tag ------------------------
 
 
-def _int_set(text: str, what: str) -> frozenset[int]:
-    try:
-        return frozenset(int(x) for x in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"bad {what} {text!r}") from exc
+def _on_t(build, scale: int, border: int = 0):
+    """build(T, T's descriptor), its graph scale * (order + border) large."""
+    return lambda desc: build(
+        parse_tournament(desc, lambda n: scale * (n + border)), desc)
 
 
-def _construct(args: argparse.Namespace) -> cons.ConstructionResult:
-    method = args.method
-    if method in ("duval-b", "duval-c", "m", "lem5", "lem6"):
-        if not args.tournament:
-            raise InputError(f"{method} needs --tournament")
-        lem = method in ("lem5", "lem6")
-        t, label = parse_tournament(
-            args.tournament, (lambda n: 4 * (n + 1)) if lem else (lambda n: 2 * n))
-        fn = {"duval-b": cons.duval_b, "duval-c": cons.duval_c,
-              "m": cons.m_construction, "lem5": cons.team_dsrg,
-              "lem6": cons.bordered_team_dsrg}[method]
-        return fn(t, label)
-    if method in ("wide", "tall"):
-        if not args.tournament or args.w is None:
-            raise InputError(f"{method} needs --tournament and --w")
-        t, label = parse_tournament(args.tournament, lambda n: 2 * n * args.w)
-        fn = cons.wide_blocks if method == "wide" else cons.tall_blocks
-        return fn(t, args.w, label)
-    if method == "lem7":
-        if args.s is None:
-            raise InputError("lem7 needs --s")
-        cons.check_vertex_cap(4 * (args.s + 1))
-        return cons.cycle_sum_dsrg(args.s)
-    if method == "qr":
-        if args.q is None:
-            raise InputError("qr needs --q")
-        triple = (args.sigma1, args.sigma2, args.s_set)
-        if triple == (None, None, None):
-            return _first_qr(args.q)
-        if None in triple:
-            raise InputError("qr needs all of --sigma1, --sigma2 and --s-set "
-                             "or none of them")
-        return cons.qr_dsrg(args.q, args.sigma1, args.sigma2,
-                            _int_set(args.s_set, "--s-set residues"))
-    if method == "pq":
-        if not args.tournament:
-            raise InputError("pq needs --tournament")
-        t, label = parse_tournament(args.tournament, lambda n: 2 * n)
-        perm = parse_perm(args.perm or "reversal", t.order)
-        return cons.pq_dsrg(t, perm, f"{label},p={args.perm or 'reversal'}")
-    if method == "kron":
-        if not args.input or args.m is None:
-            raise InputError("kron needs --input and --m")
-        base = read_adj(args.input)
-        cons.check_vertex_cap(base.n * args.m)
-        return cons.kronecker_expand(base, args.m, args.side, args.input)
-    if method == "cayley":
-        if not args.group or not args.conn:
-            raise InputError("cayley needs --group and --conn")
-        group = parse_group(args.group)
-        conn = _int_set(args.conn, "connection set")
-        return grp.cayley_dsrg(grp.CayleySpec(group, conn),
-                               f"{args.group},S={{{args.conn}}}")
-    if method == "hobart-shaw":
-        if args.lam is None or not args.parity:
-            raise InputError("hobart-shaw needs --lam and --parity")
-        cons.check_vertex_cap(4 * args.lam + 2 * (args.parity == "odd"))
-        return grp.hobart_shaw(args.lam, args.parity)
-    raise InputError(f"unknown method {method!r}")
+def _pq(t_desc: str, images: str) -> cons.ConstructionResult:
+    t = parse_tournament(t_desc, lambda n: 2 * n)
+    return cons.pq_dsrg(t, parse_perm(images, t.order), f"{t_desc},p={images}")
+
+
+def _kron(base_desc: str, m: str, side: str) -> cons.ConstructionResult:
+    method, _, inner = base_desc.partition("(")
+    if base_desc.startswith("adj:"):
+        base = read_adj(base_desc[4:])
+    elif method in METHODS and inner.endswith(")"):
+        base = construct(method, inner[:-1]).adj
+    else:
+        raise InputError(f"bad kron base {base_desc!r} "
+                         f"(use adj:PATH or METHOD(DESCRIPTOR))")
+    return cons.kronecker_expand(base, int(m), side, base_desc)
+
+
+def _qr(q: str, sigma1: str | None, sigma2: str, s_set: str):
+    if sigma1 is None:  # q=Q alone: the first triple of qr_search
+        return cons.qr_dsrg(int(q), *cons.qr_search(int(q))[0])
+    return cons.qr_dsrg(int(q), int(sigma1), int(sigma2),
+                        map(int, s_set.split(",")))
+
+
+def _cayley(group_desc: str, names: str) -> cons.ConstructionResult:
+    group = parse_group(group_desc)
+    if not set(names.split(",")) <= set(group.names):
+        raise InputError(f"bad connection set {names!r}: the elements of "
+                         f"{group_desc} are {','.join(group.names)}")
+    conn = frozenset(map(group.index_of, names.split(",")))
+    return grp.cayley_dsrg(grp.CayleySpec(group, conn),
+                           f"{group_desc},S={{{names}}}")
+
+
+# catalog method tag -> (grammar of the input the catalog prints after it, as
+# a pattern that re compiles on first use, builder of the pattern's groups)
+METHODS: dict[str, tuple[str, str, Callable[..., cons.ConstructionResult]]] = {
+    "duval_B": ("T", "(.*)", _on_t(cons.duval_b, 2)),
+    "duval_C": ("T", "(.*)", _on_t(cons.duval_c, 2)),
+    "m_of": ("T", "(.*)", _on_t(cons.m_construction, 2)),
+    "wide": ("T,w=W", r"(.+),w=(-?\d+)", lambda t, w: cons.wide_blocks(
+        parse_tournament(t, lambda n: 2 * n * int(w)), int(w), t)),
+    "tall": ("T,w=W", r"(.+),w=(-?\d+)", lambda t, w: cons.tall_blocks(
+        parse_tournament(t, lambda n: 2 * n * int(w)), int(w), t)),
+    "lem5": ("T", "(.*)", _on_t(cons.team_dsrg, 4, 1)),
+    "lem6": ("T", "(.*)", _on_t(cons.bordered_team_dsrg, 4, 1)),
+    "lem7": ("s=S", r"s=(-?\d+)", lambda s: cons.cycle_sum_dsrg(int(s))),
+    "qr": ("q=Q or q=Q,sigma1=A,sigma2=B,S={r1,r2,...}",
+           r"q=(-?\d+)(?:,sigma1=(-?\d+),sigma2=(-?\d+),"
+           r"S=\{(-?\d+(?:,-?\d+)*)\})?", _qr),
+    "pq": ("T,p=reversal|identity|i0,i1,...", "(.+),p=(.+)", _pq),
+    "kron": ("BASE,m=M,left|right", r"(.+),m=(-?\d+),(left|right)", _kron),
+    "cayley": ("GROUP,S={name1,name2,...}", r"([^,]*),S=\{(.*)\}", _cayley),
+    "hobart_shaw": ("lam=L,even|odd", r"lam=(-?\d+),(even|odd)",
+                    lambda lam, parity: grp.hobart_shaw(int(lam), parity)),
+}
+
+
+def construct(method: str, desc: str) -> cons.ConstructionResult:
+    """Build the graph of the catalog header ``method desc``."""
+    grammar, pattern, build = METHODS[method]
+    match = re.fullmatch(pattern, desc)
+    if match is None:
+        raise InputError(f"bad {method} descriptor {desc!r} (use {grammar})")
+    return build(*match.groups())
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    result = _construct(args)
+    result = construct(args.method, args.descriptor)
     if args.output:
         write_adj(result.adj, args.output)
     print(result.params)
@@ -251,8 +259,7 @@ def cmd_qr_search(args: argparse.Namespace) -> int:
 
 
 def cmd_pq_search(args: argparse.Namespace) -> int:
-    t, _ = parse_tournament(args.tournament)
-    for p in cons.pq_search(t):
+    for p in cons.pq_search(parse_tournament(args.tournament)):
         print(",".join(map(str, p.images)))
     return 0
 
@@ -273,10 +280,10 @@ def _tournament_sources(order: int) -> list[tuple[Tournament, str]]:
     if order <= 7:
         return [(t, f"enum:{order}:{i}")
                 for i, t in enumerate(enumerate_regular_tournaments(order))]
-    sources = [parse_tournament(f"standard:{order}")]
+    labels = [f"standard:{order}"]
     if is_prime(order) and order % 4 == 3:
-        sources.append(parse_tournament(f"paley:{order}"))
-    return sources
+        labels.append(f"paley:{order}")
+    return [(parse_tournament(label), label) for label in labels]
 
 
 def all_construction_results(max_n: int,
@@ -337,7 +344,8 @@ def all_construction_results(max_n: int,
         attempt(lambda s=s: cons.cycle_sum_dsrg(s), f"lem7(s={s})")
     for q in (5, 13, 17):
         if 2 * q <= max_n:
-            attempt(lambda: _first_qr(q), f"qr(q={q})")
+            attempt(lambda: cons.qr_dsrg(q, *cons.qr_search(q)[0]),
+                    f"qr(q={q})")
     if 6 <= max_n:
         s3 = grp.symmetric_group(3)
         conn = frozenset({s3.index_of("(12)"), s3.index_of("(123)")})
@@ -438,24 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build one graph and print its parameters")
-    c.add_argument("method", choices=["duval-b", "duval-c", "m", "wide", "tall",
-                                      "lem5", "lem6", "lem7", "qr", "pq",
-                                      "kron", "cayley", "hobart-shaw"])
-    c.add_argument("--tournament", help="circulant:N:e1,e2 | standard:N | paley:Q | adj:PATH")
-    c.add_argument("--w", type=int, help="block multiplicity for wide/tall")
-    c.add_argument("--s", type=int, help="cycle-power count for lem7")
-    c.add_argument("--q", type=int, help="prime modulus for qr")
-    c.add_argument("--sigma1", type=int)
-    c.add_argument("--sigma2", type=int)
-    c.add_argument("--s-set", dest="s_set", help="comma residues for qr")
-    c.add_argument("--perm", help="pq permutation: reversal | identity | images")
-    c.add_argument("--input", help="input .adj file for kron")
-    c.add_argument("--m", type=int, help="expansion factor for kron")
-    c.add_argument("--side", choices=["left", "right"], default="right")
-    c.add_argument("--group", help="cyclic:N | dihedral:N | symmetric:N")
-    c.add_argument("--conn", help="comma element indices for cayley")
-    c.add_argument("--lam", type=int, help="parameter for hobart-shaw")
-    c.add_argument("--parity", choices=["even", "odd"])
+    c.add_argument("method", choices=list(METHODS))
+    c.add_argument("descriptor", help="the input as a catalog header prints "
+                                      "it, e.g. circulant:5:1,2 or s=2")
     c.add_argument("-o", "--output", help="write the graph as .adj")
     c.set_defaults(handler=cmd_construct)
 

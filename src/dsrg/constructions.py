@@ -46,6 +46,20 @@ def _result(method: str, descriptor: str, adj: BinMatrix,
     return ConstructionResult(method, descriptor, adj, params)
 
 
+# dsrg construct qr q=1009 (2,018 vertices) takes 2.0-2.5 s at a peak RSS
+# of 188 MB, and lem6 over standard:501 (2,008 vertices) 2.1 s at 183 MB
+# (2-vCPU Xeon, Python 3.11); time grows as n^3 and memory as n^2
+MAX_VERTICES = 2018
+_QR_MAX_Q = MAX_VERTICES // 2
+
+
+def check_vertex_cap(n: int) -> None:
+    """Refuse a graph of more than MAX_VERTICES vertices before it is built."""
+    if n > MAX_VERTICES:
+        raise BoundExceeded(f"the graph would have {n} vertices, above the "
+                            f"cap {MAX_VERTICES}")
+
+
 def _regular(t: Tournament, what: str,
              min_valency: int = 0) -> tuple[BinMatrix, int]:
     if not t.is_regular:
@@ -67,6 +81,7 @@ def _alternating(t: Tournament, w: int, by_row: bool, method: str,
     by_row) is even and A^T otherwise: ((4k+2)w, 2kw, kw, (k-1)w, kw)."""
     if w < 1:
         raise InputError(f"block multiplicity must be >= 1, got {w}")
+    check_vertex_cap(2 * t.order * w)
     a, k = _regular(t, what, min_valency=1)
     at = a.transpose()
     adj = block_compose([[at if (r if by_row else c) % 2 else a
@@ -169,6 +184,7 @@ def cycle_sum_matrix(s: int) -> BinMatrix:
 def cycle_sum_dsrg(s: int) -> ConstructionResult:
     """m_of over the cycle-power sum on 2s+2 vertices:
     (4(s+1), 2s+1, s+1, s, s)."""
+    check_vertex_cap(4 * (s + 1))
     adj = m_of(cycle_sum_matrix(s))
     return _result("lem7", f"s={s}", adj,
                    (4 * (s + 1), 2 * s + 1, s + 1, s, s))
@@ -187,20 +203,6 @@ def _check_difference_partition(q: int, m: int, s_set: frozenset[int]) -> None:
             raise ValueError(
                 f"difference-partition failure: residue {x} occurs "
                 f"{counts[x]} times, expected {m}")
-
-
-# dsrg construct qr --q 1009 (2,018 vertices) takes 2.0-2.5 s at a peak RSS
-# of 188 MB, and lem6 over standard:501 (2,008 vertices) 2.1 s at 183 MB
-# (2-vCPU Xeon, Python 3.11); time grows as n^3 and memory as n^2
-MAX_VERTICES = 2018
-_QR_MAX_Q = MAX_VERTICES // 2
-
-
-def check_vertex_cap(n: int) -> None:
-    """Refuse a graph of more than MAX_VERTICES vertices before it is built."""
-    if n > MAX_VERTICES:
-        raise BoundExceeded(f"the graph would have {n} vertices, above the "
-                            f"cap {MAX_VERTICES}")
 
 
 def _check_qr_modulus(q: int) -> None:
@@ -360,6 +362,7 @@ def kronecker_expand(a: BinMatrix, m: int, side: str = "right",
         raise InputError(f"expansion factor must exceed 1, got {m}")
     if side not in ("left", "right"):
         raise InputError(f"side must be 'left' or 'right', got {side!r}")
+    check_vertex_cap(a.n * m)
     params = verify_dsrg(a)
     if params.t != params.mu:
         raise ValueError(

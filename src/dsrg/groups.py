@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .constructions import ConstructionResult, _result
+from .constructions import ConstructionResult, _result, check_vertex_cap
 from .iso import BoundExceeded
 from .matrix import (BinMatrix, InputError, _indicator, block_compose,
                      sigma_circulant)
@@ -244,11 +244,13 @@ def cayley_criteria(spec: CayleySpec) -> DsrgParams | None:
 
 
 def cayley_dsrg(spec: CayleySpec, label: str | None = None) -> ConstructionResult:
-    """Cayley graph wrapped as a verified construction result."""
+    """A genuine Cayley DSRG (0 < t < k) as a verified construction result."""
     adj = cayley_graph(spec)
     params = try_verify_dsrg(adj)
     if params is None:
         raise ValueError("the connection set does not satisfy the product criteria")
+    if not params.is_genuine:
+        raise ValueError(f"not a genuine DSRG: {params} {params.classification}")
     names = ",".join(spec.group.names[s] for s in sorted(spec.conn))
     desc = label if label is not None else f"order={spec.group.order},S={{{names}}}"
     return ConstructionResult("cayley", desc, adj, params)
@@ -284,7 +286,8 @@ def hobart_shaw(lam: int, parity: str) -> ConstructionResult:
         n_rot = 2 * lam + 1
     else:
         raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
-    _, k, t, _, _ = expected
+    n, k, t, _, _ = expected
+    check_vertex_cap(n)
     if not 0 < t < k:  # only the even case with lam = 1
         raise ValueError(f"parameters {expected} are not genuine (need "
                          f"0 < t < k); the even case requires lam >= 2")

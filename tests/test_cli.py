@@ -87,7 +87,7 @@ def test_adj_parse_format_round_trip(m):
 
 def test_construct_cycle_sum(tmp_path):
     out = tmp_path / "g.adj"
-    code, stdout, _ = run_cli("construct", "lem7", "--s", "2", "-o", str(out))
+    code, stdout, _ = run_cli("construct", "lem7", "s=2", "-o", str(out))
     assert code == 0
     assert stdout.strip() == "12 5 3 2 2"
     assert read_adj(out).n == 12
@@ -95,104 +95,134 @@ def test_construct_cycle_sum(tmp_path):
 
 def test_construct_paired_rows(tmp_path):
     out = tmp_path / "g.adj"
-    code, stdout, _ = run_cli("construct", "duval-b", "--tournament",
-                              "circulant:5:1,2", "-o", str(out))
+    code, stdout, _ = run_cli("construct", "duval_B", "circulant:5:1,2",
+                              "-o", str(out))
     assert code == 0
     assert stdout.strip() == "10 4 2 1 2"
 
 
 # stdout and the sha256 of the -o file, one call per method (three for qr:
-# its first triple at q = 13, an explicit one, and its first triple at 17)
+# its first triple at q = 13, an explicit one, and its first triple at 17);
+# each id is the label the pin was first recorded under
 CONSTRUCT_PINS = [
-    (["duval-b", "--tournament", "circulant:5:1,2"], "10 4 2 1 2",
+    ("duval-b --tournament", ["duval_B", "circulant:5:1,2"], "10 4 2 1 2",
      "91d41a9b987136f4a7935900a4cf000780e559843c02f3c3b0c2f7514bae2093"),
-    (["duval-c", "--tournament", "standard:7"], "14 6 3 2 3",
+    ("duval-c --tournament", ["duval_C", "standard:7"], "14 6 3 2 3",
      "59a4901de738750316f244ff28b54c159d4e36e684d6ee49420bbc90ce6ed914"),
-    (["m", "--tournament", "paley:7"], "14 7 4 3 4",
+    ("m --tournament", ["m_of", "paley:7"], "14 7 4 3 4",
      "d48f13f44481370addf66876c9d87412a531be8daadb404e2a0a941b1c9638c4"),
-    (["wide", "--tournament", "standard:5", "--w", "2"], "20 8 4 2 4",
+    ("wide --tournament", ["wide", "standard:5,w=2"], "20 8 4 2 4",
      "1e7ea86379bfe3fc6741813274dbeb234782aac8f8c5979de0ce55dfecb22966"),
-    (["tall", "--tournament", "circulant:7:1,2,4", "--w", "2"], "28 12 6 4 6",
+    ("tall --tournament", ["tall", "circulant:7:1,2,4,w=2"], "28 12 6 4 6",
      "abe25285cdd1a2083d58bcee740418720bb4b5f976eb95e7064ecc1902152c69"),
-    (["lem5", "--tournament", "paley:7"], "32 15 8 7 7",
+    ("lem5 --tournament", ["lem5", "paley:7"], "32 15 8 7 7",
      "76540a4fc99c5a9c0fbb6fb55c688802935f6dc63a8074ab0f1b4024c789411e"),
-    (["lem6", "--tournament", "standard:5"], "24 11 6 5 5",
+    ("lem6 --tournament", ["lem6", "standard:5"], "24 11 6 5 5",
      "761c235d99f8a3d48805b9dd70308290370e575f86b6e53da96a7fca7d5b19c7"),
-    (["lem7", "--s", "3"], "16 7 4 3 3",
+    ("lem7 --s", ["lem7", "s=3"], "16 7 4 3 3",
      "91aafa6674e1de541f379abebc080deec2aceb431b821aa246a9e4f998617f8a"),
-    (["qr", "--q", "13"], "26 12 6 5 6",
+    ("qr --q0", ["qr", "q=13"], "26 12 6 5 6",
      "2e2d844cd9970a7a58c0ea79a33624d696fc2dcea740cb3bb2309cc744d984f9"),
-    (["qr", "--q", "5", "--sigma1", "2", "--sigma2", "3", "--s-set", "1,4"],
-     "10 4 2 1 2",
+    ("qr --q1", ["qr", "q=5,sigma1=2,sigma2=3,S={1,4}"], "10 4 2 1 2",
      "d9e4d8d90200f6602ddef4d5126c0dbe022cd5a68ea17cdc93e8eb8a09893735"),
-    (["qr", "--q", "17"], "34 16 8 7 8",
+    ("qr --q2", ["qr", "q=17"], "34 16 8 7 8",
      "b4c8b33783fc83a6c558c01a3caf8acebc3bce5de25293597c53aad7e784d71a"),
-    (["pq", "--tournament", "standard:7", "--perm", "0,6,5,4,3,2,1"],
-     "14 6 3 2 3",
+    ("pq --tournament", ["pq", "standard:7,p=0,6,5,4,3,2,1"], "14 6 3 2 3",
      "227205d85faf4c9dd86c6b8e260f37f685fc7543c138a10750820fc55578e58c"),
-    (["kron", "--input", "{base}", "--m", "3", "--side", "left"],
-     "30 12 6 3 6",
+    ("kron --input", ["kron", "adj:{base},m=3,left"], "30 12 6 3 6",
      "5d9f1df89e04b6ab1bc078606ff09ae29fa7bfb6714686db144640634170f52c"),
-    (["cayley", "--group", "symmetric:3", "--conn", "2,3"], "6 2 1 0 1",
+    ("cayley --group", ["cayley", "symmetric:3,S={(12),(123)}"], "6 2 1 0 1",
      "87f3377b0709fdd4188e877f70e9858413d00ebc3aedd98d3bcca48adf918d3b"),
-    (["hobart-shaw", "--lam", "3", "--parity", "odd"], "14 7 4 3 4",
+    ("hobart-shaw --lam", ["hobart_shaw", "lam=3,odd"], "14 7 4 3 4",
      "103b67343395099be178a61017b52ecc39282437cf1a3bc9fd80d9402630e813"),
 ]
 
 
-@pytest.mark.parametrize("argv, stdout, digest", CONSTRUCT_PINS,
-                         ids=[" ".join(p[0][:2]) for p in CONSTRUCT_PINS])
+@pytest.mark.parametrize("argv, stdout, digest", [p[1:] for p in CONSTRUCT_PINS],
+                         ids=[p[0] for p in CONSTRUCT_PINS])
 def test_construct_golden(argv, stdout, digest, tmp_path, capsys):
     from dsrg import circulant_tournament, duval_b
     base = tmp_path / "base.adj"
     write_adj(duval_b(circulant_tournament(5, {1, 2})).adj, base)
     out = tmp_path / "g.adj"
-    argv = [a.format(base=base) for a in argv]
+    argv = [a.replace("{base}", str(base)) for a in argv]
     assert main(["construct", *argv, "-o", str(out)]) == 0
     assert capsys.readouterr().out == stdout + "\n"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("method, needs", [
-    ("duval-b", "--tournament"), ("duval-c", "--tournament"),
-    ("m", "--tournament"), ("wide", "--tournament and --w"),
-    ("tall", "--tournament and --w"), ("lem5", "--tournament"),
-    ("lem6", "--tournament"), ("lem7", "--s"), ("qr", "--q"),
-    ("pq", "--tournament"), ("kron", "--input and --m"),
-    ("cayley", "--group and --conn"), ("hobart-shaw", "--lam and --parity"),
-])
-def test_construct_missing_inputs_are_input_errors(method, needs, capsys):
-    assert main(["construct", method]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"input error: {method} needs {needs}\n"
+# one descriptor per method tag that lacks an input of its grammar, which
+# the message names (parse_tournament names T's kinds); each id is the label
+# of the case it replaced, which named the missing options
+T_KINDS = ("unknown tournament descriptor kind '' "
+           "(use circulant/standard/paley/enum/adj)")
+
+
+@pytest.mark.parametrize("method, desc, message", [
+    ("duval_B", "", T_KINDS), ("duval_C", "", T_KINDS), ("m_of", "", T_KINDS),
+    ("wide", "standard:5", "bad wide descriptor 'standard:5' (use T,w=W)"),
+    ("tall", "standard:5", "bad tall descriptor 'standard:5' (use T,w=W)"),
+    ("lem5", "", T_KINDS), ("lem6", "", T_KINDS),
+    ("lem7", "s=", "bad lem7 descriptor 's=' (use s=S)"),
+    ("qr", "", "bad qr descriptor '' "
+               "(use q=Q or q=Q,sigma1=A,sigma2=B,S={r1,r2,...})"),
+    ("pq", "standard:5", "bad pq descriptor 'standard:5' "
+                         "(use T,p=reversal|identity|i0,i1,...)"),
+    ("kron", "duval_B(standard:5)", "bad kron descriptor "
+     "'duval_B(standard:5)' (use BASE,m=M,left|right)"),
+    ("cayley", "cyclic:5", "bad cayley descriptor 'cyclic:5' "
+                           "(use GROUP,S={name1,name2,...})"),
+    ("hobart_shaw", "lam=2", "bad hobart_shaw descriptor 'lam=2' "
+                             "(use lam=L,even|odd)"),
+], ids=["duval-b---tournament", "duval-c---tournament", "m---tournament",
+        "wide---tournament and --w", "tall---tournament and --w",
+        "lem5---tournament", "lem6---tournament", "lem7---s", "qr---q",
+        "pq---tournament", "kron---input and --m", "cayley---group and --conn",
+        "hobart-shaw---lam and --parity"])
+def test_construct_missing_inputs_are_input_errors(method, desc, message,
+                                                   capsys):
+    assert main(["construct", method, desc]) == 2
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
+def test_construct_bad_kron_base_is_input_error(capsys):
+    for base in ("bogus(standard:5)", "duval_B[standard:5]", "g.adj"):
+        assert main(["construct", "kron", f"{base},m=2,left"]) == 2
+        assert capsys.readouterr() == (
+            "", f"input error: bad kron base {base!r} "
+                f"(use adj:PATH or METHOD(DESCRIPTOR))\n")
+    # a malformed inner descriptor names its own method's grammar
+    assert main(["construct", "kron", "lem7(s),m=2,left"]) == 2
+    assert capsys.readouterr() == (
+        "", "input error: bad lem7 descriptor 's' (use s=S)\n")
 
 
 @pytest.mark.parametrize("desc", ["standard:-3", "circulant:-3:1",
                                   "circulant:0:1"])
 def test_construct_non_positive_order_is_input_error(desc):
-    code, stdout, stderr = run_cli("construct", "duval-b",
-                                   "--tournament", desc)
+    code, stdout, stderr = run_cli("construct", "duval_B", desc)
     assert code == 2 and stdout == ""
     assert "positive odd order" in stderr and "Traceback" not in stderr
 
 
 @pytest.mark.parametrize("extra", [
-    ["--sigma1", "5"], ["--sigma1", "5", "--sigma2", "8"], ["--s-set", "1,4"],
+    ["sigma1=5"], ["sigma1=5", "sigma2=8"], ["S={1,4}"],
 ])
 def test_construct_qr_partial_triple_is_input_error(extra, capsys):
-    assert main(["construct", "qr", "--q", "13", *extra]) == 2
+    assert main(["construct", "qr", ",".join(["q=13", *extra])]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--sigma1, --sigma2 and --s-set" in captured.err
+    assert "(use q=Q or q=Q,sigma1=A,sigma2=B,S={r1,r2,...})" in captured.err
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["qr", "--q", "5", "--sigma1", "2", "--sigma2", "3", "--s-set", "a,b"],
-     "input error: bad --s-set residues 'a,b'\n"),
-    (["cayley", "--group", "cyclic:3", "--conn", "a"],
-     "input error: bad connection set 'a'\n"),
-])
+    (["qr", "q=5,sigma1=2,sigma2=3,S={a,b}"],
+     "input error: bad qr descriptor 'q=5,sigma1=2,sigma2=3,S={a,b}' "
+     "(use q=Q or q=Q,sigma1=A,sigma2=B,S={r1,r2,...})\n"),
+    (["cayley", "cyclic:3,S={1}"],
+     "input error: bad connection set '1': the elements of cyclic:3 are "
+     "e,a,a2\n"),
+], ids=["qr-residues", "cayley-names"])
 def test_construct_unparsable_integer_sets_are_input_errors(argv, message,
                                                             capsys):
     assert main(["construct", *argv]) == 2
@@ -200,11 +230,11 @@ def test_construct_unparsable_integer_sets_are_input_errors(argv, message,
 
 
 @pytest.mark.parametrize("argv", [
-    ["lem7", "--s", "-1"],
-    ["wide", "--tournament", "standard:5", "--w", "0"],
-    ["qr", "--q", "-5"],
-    ["hobart-shaw", "--lam", "0", "--parity", "odd"],
-    ["cayley", "--group", "cyclic:5", "--conn", "7"],
+    ["lem7", "s=-1"],
+    ["wide", "standard:5,w=0"],
+    ["qr", "q=-5"],
+    ["hobart_shaw", "lam=0,odd"],
+    ["cayley", "cyclic:5,S={a7}"],
 ])
 def test_construct_number_outside_domain_is_input_error(argv):
     code, stdout, stderr = run_cli("construct", *argv)
@@ -217,8 +247,7 @@ def test_construct_number_outside_domain_is_input_error(argv):
     ("0,0,1,2,3", "not a permutation of 0..4: (0, 0, 1, 2, 3)"),
 ])
 def test_construct_pq_bad_permutation_is_input_error(perm, message, capsys):
-    assert main(["construct", "pq", "--tournament", "standard:5",
-                 "--perm", perm]) == 2
+    assert main(["construct", "pq", f"standard:5,p={perm}"]) == 2
     assert capsys.readouterr() == (
         "", f"input error: bad permutation {perm!r}: {message}\n")
 
@@ -229,8 +258,7 @@ def test_construct_pq_bad_permutation_is_input_error(perm, message, capsys):
      ("", "error: PQ is not symmetric: entries (0, 1) differ\n")),
 ])
 def test_construct_pq_named_permutations(perm, code, captured, capsys):
-    assert main(["construct", "pq", "--tournament", "standard:5",
-                 "--perm", perm]) == code
+    assert main(["construct", "pq", f"standard:5,p={perm}"]) == code
     assert capsys.readouterr() == captured
 
 
@@ -243,20 +271,19 @@ def test_construct_pq_named_permutations(perm, code, captured, capsys):
                  "with base 10: 'x'"),
 ])
 def test_construct_bad_group_descriptor_is_input_error(group, message, capsys):
-    assert main(["construct", "cayley", "--group", group, "--conn", "1"]) == 2
+    assert main(["construct", "cayley", f"{group},S={{a}}"]) == 2
     assert capsys.readouterr() == ("", f"input error: {message}\n")
 
 
 def test_construct_qr_bad_s_set_is_semantic_error():
-    code, stdout, stderr = run_cli("construct", "qr", "--q", "5", "--sigma1",
-                                   "2", "--sigma2", "3", "--s-set", "1,2")
+    code, stdout, stderr = run_cli("construct", "qr",
+                                   "q=5,sigma1=2,sigma2=3,S={1,2}")
     assert code == 1 and stdout == ""
     assert "difference-partition" in stderr and "Traceback" not in stderr
 
 
 def test_construct_lem5_rejects_non_doubly_regular():
-    code, stdout, stderr = run_cli("construct", "lem5", "--tournament",
-                                   "circulant:5:1,2")
+    code, stdout, stderr = run_cli("construct", "lem5", "circulant:5:1,2")
     assert (code, stdout) == (1, "")
     assert stderr == "error: order-5 tournament is not doubly regular\n"
 
@@ -264,10 +291,146 @@ def test_construct_lem5_rejects_non_doubly_regular():
 def test_construct_kron_rejects_t_not_mu(tmp_path):
     fixture = tmp_path / "f.adj"
     write_adj(FIXTURE_8, fixture)
-    code, _, stderr = run_cli("construct", "kron", "--input", str(fixture),
-                              "--m", "2", "--side", "left")
+    code, _, stderr = run_cli("construct", "kron", f"adj:{fixture},m=2,left")
     assert code == 1
     assert "iff t = mu" in stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "lem6", "enum:7:3"],
+     "bad tournament descriptor 'enum:7:3': no class 3 among the 3 of order 7"),
+    (["construct", "duval_B", "enum:5:-1"],
+     "bad tournament descriptor 'enum:5:-1': no class -1 among the 1 of "
+     "order 5"),
+    (["pq-search", "--tournament", "enum:9:15"],
+     "bad tournament descriptor 'enum:9:15': no class 15 among the 15 of "
+     "order 9"),
+    (["construct", "lem6", "enum:13:0"],
+     "order 13 exceeds the enumeration limit 11"),
+    (["pq-search", "--tournament", "enum:49:0"],
+     "order 49 exceeds the enumeration limit 11"),
+    (["construct", "m_of", "enum:4:0"],
+     "bad tournament descriptor 'enum:4:0': regular tournaments have "
+     "positive odd order, got 4"),
+])
+def test_enum_tournament_refusals(argv, message, capsys):
+    # an index past the class count names the count; an order above the
+    # enumeration limit is refused before any enumeration starts
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
+def test_enum_tournaments_are_the_enumerated_classes(capsys):
+    from dsrg import enumerate_regular_tournaments
+    from dsrg.cli import parse_tournament
+    for n in (1, 3, 5, 7, 9):
+        classes = enumerate_regular_tournaments(n)
+        assert [parse_tournament(f"enum:{n}:{i}").adj
+                for i in range(len(classes))] == [t.adj for t in classes]
+    assert main(["pq-search", "--tournament", "enum:7:0"]) == 0
+    assert capsys.readouterr().out.startswith("0,6,5,4,3,2,1\n")
+
+
+@pytest.mark.parametrize("desc, message", [
+    ("cyclic:7,S={a,a2,a4}", "7 3 0 1 2 doubly-regular-tournament"),
+    ("cyclic:5,S={a,a4}", "5 2 2 0 1 undirected"),
+])
+def test_construct_cayley_refuses_non_genuine(desc, message, capsys):
+    # cayley-scan lists only genuine sets, and construct builds only those
+    assert main(["construct", "cayley", desc]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: not a genuine DSRG: {message}\n")
+
+
+def test_every_catalog_input_replays():
+    # every result of the sweep at 96 rebuilds from its printed method
+    # and descriptor, matrix byte for byte
+    from dsrg.cli import all_construction_results, construct
+    results = all_construction_results(96)
+    assert len(results) == 234
+    for r in results:
+        again = construct(r.method, r.input_descriptor)
+        assert (again.method, again.input_descriptor) == \
+            (r.method, r.input_descriptor)
+        assert format_adj(again.adj) == format_adj(r.adj), r.input_descriptor
+
+
+def test_one_catalog_input_per_tag_replays_on_the_command_line(tmp_path,
+                                                               capsys):
+    from dsrg.cli import METHODS, all_construction_results
+    first = {}
+    for r in all_construction_results(96):
+        first.setdefault(r.method, r)
+    # the sweep builds every tag but wide, whose graphs it reaches as kron
+    # over duval_B
+    assert sorted(first) == sorted(set(METHODS) - {"wide"})
+    out = tmp_path / "g.adj"
+    for tag, r in first.items():
+        assert main(["construct", tag, r.input_descriptor, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == f"{r.params}\n"
+        assert out.read_text(encoding="ascii") == format_adj(r.adj)
+
+
+@st.composite
+def construct_calls(draw):
+    """A method and a descriptor over a circulant tournament, w, m, s or
+    lam, with the library call that builds the same graph."""
+    from dsrg import circulant_tournament, groups
+    from dsrg import constructions as cons
+    n = draw(st.sampled_from([3, 5, 7, 9]))
+    conn = sorted(draw(st.sampled_from([i, n - i]))
+                  for i in range(1, (n + 1) // 2))
+    t_desc = f"circulant:{n}:{','.join(map(str, conn))}"
+    t = circulant_tournament(n, set(conn))
+    w = draw(st.integers(2, 3))
+    side = draw(st.sampled_from(["left", "right"]))
+    s, lam = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    parity = draw(st.sampled_from(["even", "odd"] if lam > 1 else ["odd"]))
+    return draw(st.sampled_from([
+        ("duval_B", t_desc, lambda: cons.duval_b(t)),
+        ("duval_C", t_desc, lambda: cons.duval_c(t)),
+        ("m_of", t_desc, lambda: cons.m_construction(t)),
+        ("lem6", t_desc, lambda: cons.bordered_team_dsrg(t)),
+        ("wide", f"{t_desc},w={w}", lambda: cons.wide_blocks(t, w)),
+        ("tall", f"{t_desc},w={w}", lambda: cons.tall_blocks(t, w)),
+        ("kron", f"duval_C({t_desc}),m={w},{side}",
+         lambda: cons.kronecker_expand(cons.duval_c(t).adj, w, side)),
+        ("lem7", f"s={s}", lambda: cons.cycle_sum_dsrg(s)),
+        ("hobart_shaw", f"lam={lam},{parity}",
+         lambda: groups.hobart_shaw(lam, parity)),
+    ]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(construct_calls())
+def test_construct_round_trips_its_descriptor(call):
+    from dsrg.cli import construct
+    method, desc, direct = call
+    r = construct(method, desc)
+    assert (r.method, r.input_descriptor) == (method, desc)
+    assert r.adj == direct().adj
+    again = construct(r.method, r.input_descriptor)
+    assert format_adj(again.adj) == format_adj(r.adj)
+
+
+def test_search_listings_replay_through_construct(capsys):
+    # each cayley-scan line names a connection set construct cayley takes,
+    # and each pq-search line an involution construct pq takes
+    assert main(["cayley-scan", "--group", "dihedral:3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 12
+    for line in lines:
+        names, params = line.split(" ", 1)
+        assert main(["construct", "cayley", f"dihedral:3,S={names}"]) == 0
+        assert capsys.readouterr().out == params + "\n"
+    assert main(["pq-search", "--tournament", "standard:7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 7
+    for images in lines:
+        assert main(["construct", "pq", f"standard:7,p={images}"]) == 0
+        assert capsys.readouterr().out == "14 6 3 2 3\n"
 
 
 def test_verify_fixture(tmp_path):
@@ -499,8 +662,7 @@ def test_qr_at_29_finishes():
     assert proc.returncode == 0
     assert len(proc.stdout.splitlines()) == 28
     proc = subprocess.run([sys.executable, "-m", "dsrg", "construct", "qr",
-                           "--q", "29"], capture_output=True, text=True,
-                          timeout=20)
+                           "q=29"], capture_output=True, text=True, timeout=20)
     assert proc.returncode == 0
     assert proc.stdout == "58 28 14 13 14\n"
 
@@ -508,12 +670,11 @@ def test_qr_at_29_finishes():
 def test_qr_builds_up_to_the_cap_and_refuses_above_it():
     code, stdout, _ = run_cli("qr-search", "--q", "37")
     assert code == 0 and len(stdout.splitlines()) == 36
-    code, stdout, _ = run_cli("construct", "qr", "--q", "37")
+    code, stdout, _ = run_cli("construct", "qr", "q=37")
     assert code == 0 and stdout == "74 36 18 17 18\n"
     # both construct paths and the listing refuse q = 1013 > 1009
-    for argv in (["construct", "qr", "--q", "1013"],
-                 ["construct", "qr", "--q", "1013", "--sigma1", "3",
-                  "--sigma2", "338", "--s-set", "1,4"],
+    for argv in (["construct", "qr", "q=1013"],
+                 ["construct", "qr", "q=1013,sigma1=3,sigma2=338,S={1,4}"],
                  ["qr-search", "--q", "1013"]):
         code, stdout, stderr = run_cli(*argv)
         assert code == 2 and stdout == ""
@@ -521,32 +682,35 @@ def test_qr_builds_up_to_the_cap_and_refuses_above_it():
             "quadratic-residue cap 1009\n"
 
 
-def test_vertex_cap_refuses_before_building(capsys):
-    # one cap for every construct method: qr's 2,018 vertices at q = 1009
-    from dsrg import cli
+def test_vertex_cap_refuses_before_building(tmp_path, capsys):
+    # one cap for every construct method: qr's 2,018 vertices at q = 1009;
+    # no tournament, group, circulant, block matrix or product is built
+    from dsrg import circulant_tournament, cli, duval_b
     from dsrg import constructions as cons
     from dsrg import groups as grp
     assert cons.MAX_VERTICES == 2 * cons._QR_MAX_Q == 2018
+    base = tmp_path / "base.adj"
+    write_adj(duval_b(circulant_tournament(5, {1, 2})).adj, base)
     never = {"side_effect": AssertionError("built")}
     with mock.patch.object(cli, "circulant_tournament", **never), \
-            mock.patch.object(cons, "cycle_sum_dsrg", **never), \
-            mock.patch.object(grp, "hobart_shaw", **never), \
+            mock.patch.object(cons, "sigma_circulant", **never), \
+            mock.patch.object(cons, "block_compose", **never), \
+            mock.patch.object(cons, "kronecker", **never), \
+            mock.patch.object(grp, "sigma_circulant", **never), \
+            mock.patch.object(grp, "block_compose", **never), \
             mock.patch.object(grp, "cyclic_group", **never), \
             mock.patch.object(grp, "dihedral_group", **never):
-        for argv, n in ((["lem6", "--tournament", "standard:505"], 2024),
-                        (["lem5", "--tournament", "standard:2001"], 8008),
-                        (["m", "--tournament", "circulant:1011:1"], 2022),
-                        (["wide", "--tournament", "standard:5", "--w",
-                          "202"], 2020),
-                        (["tall", "--tournament", "standard:7", "--w",
-                          "1000000000"], 14000000000),
-                        (["lem7", "--s", "504"], 2020),
-                        (["hobart-shaw", "--lam", "505", "--parity",
-                          "even"], 2020),
-                        (["cayley", "--group", "cyclic:100000000", "--conn",
-                          "1"], 100000000),
-                        (["cayley", "--group", "dihedral:1010", "--conn",
-                          "1"], 2020)):
+        for argv, n in ((["lem6", "standard:505"], 2024),
+                        (["lem5", "standard:2001"], 8008),
+                        (["m_of", "circulant:1011:1"], 2022),
+                        (["wide", "standard:5,w=202"], 2020),
+                        (["tall", "standard:7,w=1000000000"], 14000000000),
+                        (["pq", "standard:1011,p=reversal"], 2022),
+                        (["lem7", "s=504"], 2020),
+                        (["kron", f"adj:{base},m=202,left"], 2020),
+                        (["hobart_shaw", "lam=505,even"], 2020),
+                        (["cayley", "cyclic:100000000,S={a}"], 100000000),
+                        (["cayley", "dihedral:1010,S={a}"], 2020)):
             assert main(["construct", *argv]) == 2
             assert capsys.readouterr() == (
                 "", f"input error: the graph would have {n} vertices, "
@@ -555,8 +719,7 @@ def test_vertex_cap_refuses_before_building(capsys):
 
 def test_vertex_cap_leaves_smaller_graphs_alone():
     # lem6 over standard:251 has 1,008 vertices
-    code, stdout, _ = run_cli("construct", "lem6", "--tournament",
-                              "standard:251")
+    code, stdout, _ = run_cli("construct", "lem6", "standard:251")
     assert code == 0 and stdout == "1008 503 252 251 251\n"
 
 
@@ -567,8 +730,7 @@ def test_pq_search_cli():
 
 
 def test_bad_descriptor_is_input_error():
-    code, _, stderr = run_cli("construct", "duval-b",
-                              "--tournament", "nonsense:5")
+    code, _, stderr = run_cli("construct", "duval_B", "nonsense:5")
     assert code == 2
     assert "descriptor" in stderr
 
@@ -736,7 +898,7 @@ def test_catalog_entries_pairwise_non_isomorphic():
 
 def test_main_callable_directly(tmp_path, capsys):
     out = tmp_path / "g.adj"
-    assert main(["construct", "lem7", "--s", "1", "-o", str(out)]) == 0
+    assert main(["construct", "lem7", "s=1", "-o", str(out)]) == 0
     assert capsys.readouterr().out.strip() == "8 3 2 1 1"
 
 
@@ -809,8 +971,7 @@ def test_tournaments_order_11_golden_digest():
 def test_construct_from_non_tournament_file_is_semantic_error(tmp_path):
     path = tmp_path / "not_tournament.adj"
     write_adj(FIXTURE_8, path)  # a DSRG, but not a tournament
-    code, _, stderr = run_cli("construct", "duval-b",
-                              "--tournament", f"adj:{path}")
+    code, _, stderr = run_cli("construct", "duval_B", f"adj:{path}")
     assert code == 1
     assert "direction" in stderr
 
@@ -842,13 +1003,35 @@ def test_closed_pipe_ends_quietly():
     assert err == b""
 
 
-def test_readme_command_lines_parse():
+def _readme_command_lines():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     block = readme.read_text().split("## Command line", 1)[1]
-    block = block.split("```", 2)[1]
+    return [line for line in block.split("```", 2)[1].splitlines()
+            if line.startswith("dsrg ")]
+
+
+def test_readme_command_lines_parse():
     commands = [shlex.split(line, comments=True)
-                for line in block.splitlines() if line.startswith("dsrg ")]
-    assert len(commands) == 15
+                for line in _readme_command_lines()]
+    assert len(commands) == 20
     parser = build_parser()
     for words in commands:
         assert parser.parse_args(words[1:]).handler
+
+
+def test_readme_construct_lines_run(tmp_path, monkeypatch, capsys):
+    # in order, in one directory (a kron line reads the g.adj written
+    # above it); a comment 'prints "..."' gives the parameters printed
+    monkeypatch.chdir(tmp_path)
+    lines = [line for line in _readme_command_lines()
+             if line.startswith("dsrg construct ")]
+    assert len(lines) == 11
+    printed = 0
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+        out = capsys.readouterr().out
+        if 'prints "' in line:
+            expected = line.split('prints "', 1)[1].split('"', 1)[0]
+            assert out == expected + "\n", line
+            printed += 1
+    assert printed == 10

@@ -445,3 +445,21 @@ def test_construction_refusals(call, error, fragment):
     with pytest.raises(ValueError) as info:
         call()
     assert info.type is error and fragment in str(info.value)
+
+
+def test_builders_refuse_above_the_vertex_cap():
+    # a size given as a number is checked before any block is built
+    from dsrg import groups
+    from dsrg.iso import BoundExceeded
+    never = {"side_effect": AssertionError("built")}
+    with mock.patch.object(cons, "block_compose", **never), \
+            mock.patch.object(cons, "kronecker", **never), \
+            mock.patch.object(cons, "sigma_circulant", **never), \
+            mock.patch.object(groups, "sigma_circulant", **never):
+        for call, n in ((lambda: cons.wide_blocks(Z5, 202), 2020),
+                        (lambda: cons.tall_blocks(Z5, 202), 2020),
+                        (lambda: cons.cycle_sum_dsrg(504), 2020),
+                        (lambda: cons.kronecker_expand(FIXTURE_10, 202), 2020),
+                        (lambda: groups.hobart_shaw(505, "odd"), 2022)):
+            with pytest.raises(BoundExceeded, match=f"would have {n} "):
+                call()

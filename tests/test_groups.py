@@ -239,6 +239,18 @@ def test_cayley_dsrg_wrapper():
         cayley_dsrg(CayleySpec(cyclic_group(6), frozenset({1, 2})))
 
 
+@pytest.mark.parametrize("group, conn, message", [
+    (cyclic_group(7), {1, 2, 4}, "7 3 0 1 2 doubly-regular-tournament"),
+    (cyclic_group(5), {1, 4}, "5 2 2 0 1 undirected"),
+])
+def test_cayley_dsrg_refuses_non_genuine(group, conn, message):
+    # a DSRG with t = 0 or t = k is refused, as hobart_shaw refuses one
+    with pytest.raises(ValueError) as info:
+        cayley_dsrg(CayleySpec(group, frozenset(conn)))
+    assert info.type is ValueError
+    assert str(info.value) == f"not a genuine DSRG: {message}"
+
+
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_hobart_shaw_is_the_dihedral_cayley_graph(parity):
     for lam in range(2 if parity == "even" else 1, 11):

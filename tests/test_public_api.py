@@ -99,9 +99,7 @@ def test_public_names_are_pinned():
 # out; the key "" holds the global options
 CLI_OPTIONS = {
     "": ["--bound"],
-    "construct": ["method", "--tournament", "--w", "--s", "--q", "--sigma1",
-                  "--sigma2", "--s-set", "--perm", "--input", "--m", "--side",
-                  "--group", "--conn", "--lam", "--parity", "-o", "--output"],
+    "construct": ["method", "descriptor", "-o", "--output"],
     "verify": ["path"],
     "feasible": ["max_n"],
     "classify": ["paths"],
