@@ -6,7 +6,9 @@ vertex of the smallest non-singleton color class is individualized and the
 search branches.  Refinement is driven by splitter cells: each round
 counts neighbors only in the pieces of the cells that have just split,
 all but the last piece of each, which yields the same colorings as
-recounting against every cell.  The root starts from every cell; a child
+recounting against every cell; a round adds up each cell's packed arc
+fields and reads a vertex's counts off the sums' byte planes as one byte
+string, ordered as the counts are.  The root starts from every cell; a child
 node starts from its new singleton alone, since its parent coloring was
 already stable.  ``are_isomorphic`` runs the two graphs in lockstep for
 at most one search node per vertex and then compares canonical forms;
@@ -36,13 +38,15 @@ twin-free graphs are searched as they are.  Certificate hashes include
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .matrix import (BinMatrix, InputError, PermSpec, _relabeled_rows,
-                     conjugate_by_perm)
+from .matrix import (BinMatrix, InputError, PermSpec, _bit_bytes,
+                     _relabeled_rows, conjugate_by_perm)
 
 DEFAULT_BOUND = 48
 
@@ -65,19 +69,43 @@ def _check_bound(n: int, bound: int) -> None:
 
 
 def _graph_bits(a: BinMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return a.rows, a.transpose().rows
+    """(rows, arcs): field v of arcs[u], 2w bytes from bit 16wv, is
+    A[v][u] * 256^w + A[u][v], u's share of v's out- and in-count."""
+    n, (w, bits) = a.n, _bit_bytes(a)
+    size = 2 * w * n
+    wide = bytearray(n * size)
+    wide[::2 * w] = bits
+    # the transpose: column u, bits[u::n], puts entry (v, u) at u*n + v
+    wide[w::2 * w] = b"".join([bits[u::n] for u in range(n)])
+    return a.rows, tuple(int.from_bytes(wide[s:s + size], "little")
+                         for s in range(0, n * size, size))
+
+
+@functools.cache
+def _byte_planes(w: int) -> itemgetter:
+    """Cuts a little-endian spelling of 2w-byte fields into its byte
+    planes, high byte first, in one call: a comprehension per splitter
+    made refinement at order 9 a tenth slower."""
+    return itemgetter(*[slice(b, None, 2 * w) for b in range(2 * w)][::-1])
 
 
 def _refine(graph: tuple[tuple[int, ...], tuple[int, ...]],
             colors: Sequence[int], first: Sequence[int] | None = None,
-            trace: list[list[int]] | None = None) -> list[int] | None:
+            trace: list[list[bytes]] | None = None) -> list[int] | None:
     """Stable color refinement of one graph.
 
     A vertex's signature is its color followed by its out and in counts
-    against each splitter cell, as digits in base n + 1, and the new color
-    ids rank the distinct signatures.  The first round uses the cells in
-    ``first`` as splitters, by default every cell.  A discrete coloring is
-    stable and is returned at once.
+    against each splitter cell, and the new color ids rank the distinct
+    signatures.  One pass adds up the ``arcs`` of each cell; no count
+    exceeds n, so no field carries, and field v of cell c's sum holds v's
+    counts against c.  Each splitter's sum, spelled little-endian, is cut
+    into its 2w byte planes, high byte first, after the w planes of the
+    colors; joined, the planes hold v's signature at every n-th byte from
+    v, each digit w bytes big-endian.  So byte order on signatures is the
+    numeric order of their digits in base n + 1: ranks, parent colors (the
+    first w bytes) and trace checks are those of the digits.  The first
+    round uses the cells in ``first`` as splitters, by default every cell.
+    A discrete coloring is stable and is returned at once.
 
     Round r's sorted signature list goes to ``trace[r]``: a round beyond
     the recorded ones appends it, and a recorded round is compared with it
@@ -99,8 +127,8 @@ def _refine(graph: tuple[tuple[int, ...], tuple[int, ...]],
     never decide between two signatures, and the partition, the color ids
     and the outcome of every trace check are those of a round with every
     piece as a splitter.  Dropping the largest piece instead (Hopcroft's
-    rule) would move digits and reorder colors, and a mask costs the same
-    two popcounts per vertex whatever its size.
+    rule) would move digits and reorder colors, and a sum costs the same
+    2w planes whatever the size of its cell.
 
     A child node passes ``first=[cell]``: ``_individualize`` left its
     vertex v alone at id ``cell`` and the rest of v's old cell at
@@ -110,28 +138,26 @@ def _refine(graph: tuple[tuple[int, ...], tuple[int, ...]],
     Color ids need not be consecutive: a round splits nothing when its
     distinct signatures are as many as the colors in use.
     """
-    rows, cols = graph
+    arcs = graph[1]
     n = len(colors)
-    base = n + 1
-    base2 = base * base
+    w = (n.bit_length() + 7) // 8
+    size = 2 * w * n
+    cut = _byte_planes(w)
     ncolors = max(colors) + 1
     used = len(set(colors))
     splitters: Sequence[int] = range(ncolors) if first is None else first
     rounds = 0
     while True:
-        masks = [0] * ncolors
-        for v, c in enumerate(colors):
-            masks[c] |= 1 << v
-        masks = [masks[c] for c in splitters]
-        sigs = []
-        for v in range(n):
-            rv = rows[v]
-            cv = cols[v]
-            s = colors[v]
-            for m in masks:
-                s = s * base2 + (rv & m).bit_count() * base \
-                    + (cv & m).bit_count()
-            sigs.append(s)
+        sums = [0] * ncolors
+        for arc, c in zip(arcs, colors):
+            sums[c] += arc
+        planes = [bytes(colors)] if w == 1 else \
+            [bytes([c >> 8 * b & 255 for c in colors])
+             for b in range(w - 1, -1, -1)]
+        for c in splitters:
+            planes += cut(sums[c].to_bytes(size, "little"))
+        flat = b"".join(planes)
+        sigs = [flat[v::n] for v in range(n)]
         if trace is not None:
             ordered = sorted(sigs)
             if rounds == len(trace):
@@ -144,10 +170,9 @@ def _refine(graph: tuple[tuple[int, ...], tuple[int, ...]],
         colors = [rank[s] for s in sigs]
         if len(values) == used or len(values) == n:
             return colors
-        # the leading digit of a signature is its parent color, and ids of
-        # one parent are consecutive
-        lead = base2 ** len(splitters)
-        parents = [s // lead for s in values]
+        # the leading w bytes of a signature are its parent color, and ids
+        # of one parent are consecutive
+        parents = [s[:w] for s in values]
         splitters = [i for i in range(len(values) - 1)
                      if parents[i] == parents[i + 1]]
         ncolors = used = len(values)
@@ -217,7 +242,7 @@ def are_isomorphic(a: BinMatrix, b: BinMatrix,
         return PermSpec.identity(n)
     ga = _graph_bits(a)
     gb = _graph_bits(b)
-    trace: list[list[int]] = []
+    trace: list[list[bytes]] = []
     root_a = _refine(ga, [0] * n, trace=trace)
     root_b = _refine(gb, [0] * n, trace=trace)
     if root_b is None:
@@ -237,7 +262,7 @@ def are_isomorphic(a: BinMatrix, b: BinMatrix,
         cells_a = _cells(colors_a)
         cell = _target_cell(cells_a)
         # a's child is the same for every candidate v: refine it once
-        trace: list[list[int]] = []
+        trace: list[list[bytes]] = []
         child_a = _refine(ga, _individualize(colors_a, cells_a[cell][0]),
                           [cell], trace)
         for v in _cells(colors_b)[cell]:
@@ -254,6 +279,8 @@ def are_isomorphic(a: BinMatrix, b: BinMatrix,
         return search(root_a, root_b)
     except _SearchBudgetExceeded:
         pass
+    finally:
+        del search  # a cycle through its own cell, holding graphs and traces
     canon_a, order_a = _canonical(ga)
     canon_b, order_b = _canonical(gb)
     if canon_a != canon_b:
@@ -389,28 +416,29 @@ class _CanonicalSearch:
 
 def _canonical(graph: tuple[tuple[int, ...], tuple[int, ...]]
                ) -> tuple[BinMatrix, list[int]]:
-    """Canonical matrix and order of the graph with bits (rows, cols).
+    """Canonical matrix and order of the graph with bits (rows, arcs).
 
-    Twins (vertices with equal rows and equal columns) are collapsed to
-    one representative each, keeping its loop bit, which records whether
-    the members of its class are mutually adjacent.  The quotient is
-    searched with its vertices colored by class size, and the best leaf is
-    expanded class by class, members in ascending label order.  Twins are
-    interchangeable, so the expansion is the same for every relabeling,
-    and the quotient with its class sizes can be read back off the
-    expanded matrix.  A twin-free graph is searched directly.
+    Twins (vertices with equal rows and columns, so equal arcs) are
+    collapsed to one representative each, keeping its loop bit, which
+    records whether the members of its class are mutually adjacent.  The
+    quotient is searched with its vertices colored by class size, and the
+    best leaf is expanded class by class, members in ascending label order.
+    Twins are interchangeable, so the expansion is the same for every
+    relabeling, and the quotient with its class sizes can be read back off
+    the expanded matrix.  A twin-free graph is searched directly.
     """
-    rows, cols = graph
+    rows, arcs = graph
     n = len(rows)
-    classes: dict[tuple[int, int], list[int]] = {}
-    for v in range(n):
-        classes.setdefault((rows[v], cols[v]), []).append(v)
+    classes: dict[int, list[int]] = {}
+    for v, arc in enumerate(arcs):
+        classes.setdefault(arc, []).append(v)
     if len(classes) == n:
         order = _CanonicalSearch(graph, [0] * n).run()
     else:
         members = list(classes.values())
         reps = [m[0] for m in members]
-        quotient = (_relabeled_rows(rows, reps), _relabeled_rows(cols, reps))
+        quotient = _graph_bits(BinMatrix(len(reps),
+                                         _relabeled_rows(rows, reps)))
         sizes = sorted({len(m) for m in members})
         colors = [sizes.index(len(m)) for m in members]
         order = [v for c in _CanonicalSearch(quotient, colors).run()

@@ -227,14 +227,18 @@ def mat_mul_count(a: BinMatrix, b: BinMatrix) -> IntMatrix:
 _ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 
 
+def _bit_bytes(a: BinMatrix) -> tuple[int, bytes]:
+    """(w, bits) as in ``_byte_fields``."""
+    # the rows spelled last row first, then reversed, put (i, j) at i*n + j
+    spelled = "".join(map(f"{{:0{a.n}b}}".format, reversed(a.rows)))[::-1]
+    return (a.n.bit_length() + 7) // 8, spelled.encode().translate(_ZERO_ONE)
+
+
 def _byte_fields(a: BinMatrix) -> tuple[int, bytes, list[int]]:
     """(w, bits, fields): bits[i*n + j] and field j of fields[i], w bytes
     wide from bit 8wj, are entry (i, j); w is the least width that holds n."""
-    # the rows spelled last row first, then reversed, put (i, j) at i*n + j;
     # one strided slice widens each 0/1 byte to a little-endian w-byte field
-    n, w = a.n, (a.n.bit_length() + 7) // 8
-    spelled = "".join(map(f"{{:0{n}b}}".format, reversed(a.rows)))[::-1]
-    bits = spelled.encode().translate(_ZERO_ONE)
+    n, (w, bits) = a.n, _bit_bytes(a)
     wide = bytearray(n * n * w)
     wide[::w] = bits
     return w, bits, [int.from_bytes(wide[s:s + n * w], "little")

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import os
@@ -362,6 +363,29 @@ def test_equal_parameter_lem6_pair_at_48():
                 assert w is not None and conjugate_by_perm(g, w) == copy
 
 
+def test_are_isomorphic_leaves_no_reference_cycles():
+    # the lockstep search must not keep both graphs and its traces alive
+    # until the cyclic collector runs, whether it settles the pair or falls
+    # back to canonical forms (the lem6 pair above uses up its budget)
+    a = cons.bordered_team_dsrg(circulant_tournament(11, range(1, 6))).adj
+    b = cons.bordered_team_dsrg(paley_tournament(11)).adj
+    copy = conjugate_by_perm(a, PermSpec(tuple(
+        random.Random(48).sample(range(48), 48))))
+    for pair, falls_back in (((a, copy), False), ((a, b), True)):
+        with mock.patch.object(iso, "_canonical",
+                               wraps=iso._canonical) as canonical:
+            are_isomorphic(*pair)
+        assert (canonical.call_count > 0) == falls_back
+    gc.collect()
+    gc.disable()
+    try:
+        assert are_isomorphic(a, copy) is not None
+        assert are_isomorphic(a, b) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def _golden_inputs():
     """The twin-free outputs at n <= 48, two seeded relabelled copies of
     each as (output, copy) pairs, and every pair of outputs with equal
@@ -546,7 +570,8 @@ def full_signature_refinement(graphs, colorings):
     while True:
         size = max(max(c) for c in colorings) + 1
         sigs_all = []
-        for (rows, cols), colors in zip(graphs, colorings):
+        for (rows, _), colors in zip(graphs, colorings):
+            cols = BinMatrix(n, rows).transpose().rows
             masks = [0] * size
             for v, c in enumerate(colors):
                 masks[c] |= 1 << v
@@ -655,8 +680,8 @@ def test_refine_joint_matches_full_signature_oracle(inputs):
 def test_refine_start_with_unused_ids_runs_to_stable():
     # ids 1, 4, 5 and 7 are unused: the first round splits cells and still
     # yields nine signatures, as many as max(start) + 1
-    graph = ((14, 13, 11, 7, 224, 448, 896, 1792, 1552, 1072, 112),
-             (14, 13, 11, 7, 1792, 1552, 1072, 112, 224, 448, 896))
+    graph = iso._graph_bits(BinMatrix(11, (14, 13, 11, 7, 224, 448, 896,
+                                            1792, 1552, 1072, 112)))
     start = [2, 2, 8, 3, 0, 3, 8, 8, 3, 6, 8]
     for refined in (iso._refine(graph, start),
                     full_signature_refinement([graph], [start])[0]):
@@ -740,6 +765,70 @@ def test_refine_joint_from_new_singleton_matches_oracle(inputs):
         assert len(graphs) == 2 and expected is None and got is not None
         assert all(sorted(c) == list(range(n)) for c in got)
         assert not _color_matching_is_isomorphism(graphs, got)
+
+
+# -- two-byte fields: orders of 256 and more --------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 300])
+def test_graph_bits_fields_match_per_bit_definition(n):
+    # field v of arcs[u], 2w bytes from bit 16wv, is A[v][u] * 256^w +
+    # A[u][v]; w = 2 from n = 256 on.  Every even vertex has a loop
+    rng = random.Random(n)
+    rows = tuple(rng.getrandbits(n) | (1 << u) * (u % 2 == 0)
+                 for u in range(n))
+    got_rows, arcs = iso._graph_bits(BinMatrix(n, rows))
+    w = 1 if n < 256 else 2
+    assert got_rows == rows and len(arcs) == n
+    for u, arc in enumerate(arcs):
+        assert arc >> 16 * w * n == 0
+        for v in range(n):
+            assert arc >> 16 * w * v & (1 << 16 * w) - 1 == \
+                ((rows[v] >> u & 1) << 8 * w) + (rows[u] >> v & 1)
+
+
+def test_refine_two_byte_fields_matches_oracle():
+    # circulants of orders 128 and 129 and valency 3 side by side: regular,
+    # so the stable coloring of order 257 is one cell, and a vertex of each
+    # part individualized refines over many rounds
+    n = 257
+    rows = [sum(1 << (i + d) % 128 for d in (1, 5, 17)) for i in range(128)]
+    rows += [sum(1 << 128 + (i + d) % 129 for d in (2, 7, 40))
+             for i in range(129)]
+    a = BinMatrix(n, tuple(rows))
+    p = random.Random(257).sample(range(n), n)
+    b = conjugate_by_perm(a, PermSpec(tuple(p)))
+    graphs = [iso._graph_bits(a), iso._graph_bits(b)]
+    for v in (0, 200):
+        children = [iso._individualize([0] * n, u) for u in (v, p[v])]
+        expected = full_signature_refinement(graphs, children)
+        assert len(set(expected[0])) > 2
+        assert refine_joint(graphs, children, [0]) == expected
+        assert refine_joint(graphs, children) == expected
+        assert refine_joint(graphs[:1], children[:1], [0]) == expected[:1]
+    # ids 0, 128 and 256: a color of two bytes inside the signatures
+    start = [v * 7 % 3 * 128 for v in range(n)]
+    starts = [start, [0] * n]
+    for v in range(n):
+        starts[1][p[v]] = start[v]
+    assert refine_joint(graphs, starts) == \
+        full_signature_refinement(graphs, starts)
+
+
+def test_canonical_and_witness_relabeling_invariant_at_order_300():
+    # a circulant, which the search must branch through, and a blow-up
+    # whose twin classes have three members; both have two-byte fields
+    rng = random.Random(300)
+    circulant = BinMatrix(300, tuple(sum(1 << (i + d) % 300
+                                         for d in (1, 4, 9, 150, 211))
+                                     for i in range(300)))
+    base = [[rng.randint(0, 1) for _ in range(100)] for _ in range(100)]
+    for a in (circulant, blow_up(base, [3] * 100)):
+        p = PermSpec(tuple(rng.sample(range(300), 300)))
+        b = conjugate_by_perm(a, p)
+        assert canonical_form(a, 300) == canonical_form(b, 300)
+        w = are_isomorphic(a, b, 300)
+        assert w is not None and conjugate_by_perm(a, w) == b
 
 
 # -- node primitives of both searches ---------------------------------------
@@ -857,9 +946,11 @@ def _shells_per_bit(graph, fixed):
 def _shells_as_ints(graph, fixed):
     """The shells as binary numbers gathered from per-vertex row and column
     strings, the form the search compared before it kept strings."""
-    n = len(graph[0])
+    rows = graph[0]
+    n = len(rows)
     row_chars, col_chars = ([f"{b:0{n}b}"[::-1] for b in bits]
-                            for bits in graph)
+                            for bits in (rows,
+                                         BinMatrix(n, rows).transpose().rows))
     return [int("".join(row_chars[u][v] for v in fixed[:m + 1])
                 + "".join(col_chars[u][v] for v in fixed[:m]), 2)
             for m, u in enumerate(fixed)]
