@@ -37,6 +37,9 @@ from .tournaments import (NotTournament, Tournament, circulant_tournament,
 # dsrg feasible 1000 prints 191,210 tuples in 4.4-4.6 s on a 2-vCPU x86-64
 # host (Python 3.11); the time grows a little faster than max_n^2
 FEASIBLE_MAX_N = 1000
+# dsrg catalog N takes 0.3 s at N = 96, 0.9-1.5 s at 200, 3.6-4.7 s at 300
+# and 14 s at 450 (single runs, same host): the largest N within about 5 s
+CATALOG_MAX_N = 300
 
 
 def parse_tournament(desc: str, vertices: Callable[[int], int] = int
@@ -221,6 +224,8 @@ def cmd_feasible(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    if args.bound < 1:
+        raise InputError(f"--bound must be at least 1, got {args.bound}")
     mats = [read_adj(path) for path in args.paths]
     for cert, members in iso.classify(mats, args.bound):
         print(f"{cert.cert_hash}: {' '.join(args.paths[i] for i in members)}")
@@ -230,23 +235,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_tournaments(args: argparse.Namespace) -> int:
     reps = enumerate_regular_tournaments(args.n)
     print(f"order={args.n} classes={len(reps)}")
-    lines = []
     for t in reps:
         # t.adj is already canonical, and canonical_form is idempotent
-        lines.append(iso._cert_hash(t.adj))
-        lines.extend(t.adj.row_strings())
-        lines.append("")
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.output:
-        Path(args.output).write_text(text, encoding="ascii")
-    else:
-        sys.stdout.write(text)
+        print(iso._cert_hash(t.adj), *t.adj.row_strings(), "", sep="\n")
     return 0
 
 
 def cmd_cayley_scan(args: argparse.Namespace) -> int:
     group = parse_group(args.group)
-    for conn, params in grp.cayley_subset_scan(group, args.max_results):
+    for conn, params in grp.cayley_subset_scan(group):
         names = ",".join(group.names[s] for s in sorted(conn))
         print(f"{{{names}}} {params}")
     return 0
@@ -421,7 +418,7 @@ def read_catalog(path: str | Path) -> list[CatalogEntry]:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    _check_max_n(args.max_n, max(iso.DEFAULT_BOUND, args.bound), "catalog cap")
+    _check_max_n(args.max_n, CATALOG_MAX_N, "catalog cap")
     failures: list[str] = []
     entries = build_catalog(args.max_n, failures)
     if args.output:
@@ -440,9 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dsrg",
         description="Construct, verify, enumerate, and classify directed "
                     "strongly regular graphs.")
-    parser.add_argument("--bound", type=int, default=iso.DEFAULT_BOUND,
-                        help="order bound for isomorphism computations "
-                             "in classify and catalog")
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build one graph and print its parameters")
@@ -462,6 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cl = sub.add_parser("classify", help="group .adj files by isomorphism")
     cl.add_argument("paths", nargs="+")
+    cl.add_argument("--bound", type=int, default=iso.DEFAULT_BOUND,
+                    help="order bound for isomorphism computations")
     cl.set_defaults(handler=cmd_classify)
 
     ca = sub.add_parser("catalog", help="run all constructions and write a catalog")
@@ -471,12 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     tn = sub.add_parser("tournaments", help="enumerate regular tournaments")
     tn.add_argument("--n", type=int, required=True)
-    tn.add_argument("-o", "--output")
     tn.set_defaults(handler=cmd_tournaments)
 
     cs = sub.add_parser("cayley-scan", help="scan connection sets of a group")
     cs.add_argument("--group", required=True)
-    cs.add_argument("--max-results", type=int, default=None)
     cs.set_defaults(handler=cmd_cayley_scan)
 
     qs = sub.add_parser("qr-search", help="search quadratic-residue triples")
@@ -493,8 +487,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.bound < 1:
-            raise InputError(f"--bound must be at least 1, got {args.bound}")
         code = args.handler(args)
         sys.stdout.flush()
         return code

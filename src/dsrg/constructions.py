@@ -119,6 +119,7 @@ def m_construction(t: Tournament, label: str | None = None) -> ConstructionResul
     Isomorphic to the complement of the paired-rows graph via the swap of
     the two blocks.
     """
+    check_vertex_cap(2 * t.order)
     a, k = _regular(t, "the m construction", min_valency=1)
     return _result("m_of", _tournament_label(t, label), m_of(a),
                    (4 * k + 2, 2 * k + 1, k + 1, k, k + 1))
@@ -161,6 +162,7 @@ def team_dsrg(t: Tournament, label: str | None = None) -> ConstructionResult:
     (4m, 2m-1, m, m-1, m-1) with m = 4*lam+4: the paper's two lemmas build
     the same matrix.
     """
+    check_vertex_cap(4 * (t.order + 1))
     if is_doubly_regular_tournament(t) is None:
         raise ValueError(f"order-{t.order} tournament is not doubly regular")
     return _bordered_team("lem5", t, label)
@@ -170,6 +172,7 @@ def bordered_team_dsrg(t: Tournament,
                        label: str | None = None) -> ConstructionResult:
     """m_of over the bordered team layout of any regular tournament of
     order h: (4(h+1), 2h+1, h+1, h, h)."""
+    check_vertex_cap(4 * (t.order + 1))
     return _bordered_team("lem6", t, label)
 
 
@@ -282,6 +285,7 @@ def pq_dsrg(qmat: Tournament, p: PermSpec,
     permutation of Q is symmetric; parameters
     (2(2mu+1), 2mu, mu, mu-1, mu).
     """
+    check_vertex_cap(2 * qmat.order)
     a, mu = _regular(qmat, "the symmetric-product construction",
                      min_valency=1)
     if len(p) != a.n:

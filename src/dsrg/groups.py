@@ -297,16 +297,13 @@ def hobart_shaw(lam: int, parity: str) -> ConstructionResult:
                    block_compose([[c, x], [x, c]]), expected)
 
 
-def cayley_subset_scan(g: GroupTable, max_results: int | None = None
+def cayley_subset_scan(g: GroupTable
                        ) -> list[tuple[frozenset[int], DsrgParams]]:
     """Exhaustive scan over connection sets yielding genuine parameters.
 
     Subsets of the non-identity elements are visited in ascending bitmask
     order (so output order is reproducible) and kept when the product
-    criteria succeed with 0 < t < k.  Refuses orders above SCAN_BOUND and a
-    max_results below 1."""
-    if max_results is not None and max_results < 1:
-        raise InputError(f"max_results must be >= 1, got {max_results}")
+    criteria succeed with 0 < t < k.  Refuses orders above SCAN_BOUND."""
     if g.order > SCAN_BOUND:
         raise BoundExceeded(
             f"group order {g.order} exceeds the scan bound {SCAN_BOUND}")
@@ -318,6 +315,4 @@ def cayley_subset_scan(g: GroupTable, max_results: int | None = None
         params = cayley_criteria(CayleySpec(g, conn))
         if params is not None and params.is_genuine:
             found.append((conn, params))
-            if max_results is not None and len(found) >= max_results:
-                break
     return found

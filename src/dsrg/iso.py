@@ -158,14 +158,16 @@ def _refine(graph: tuple[tuple[int, ...], tuple[int, ...]],
             planes += cut(sums[c].to_bytes(size, "little"))
         flat = b"".join(planes)
         sigs = [flat[v::n] for v in range(n)]
-        if trace is not None:
+        if trace is None:
+            values = sorted(set(sigs))
+        else:
             ordered = sorted(sigs)
             if rounds == len(trace):
                 trace.append(ordered)
             elif ordered != trace[rounds]:
                 return None
             rounds += 1
-        values = sorted(set(sigs))
+            values = list(dict.fromkeys(ordered))
         rank = {v: i for i, v in enumerate(values)}
         colors = [rank[s] for s in sigs]
         if len(values) == used or len(values) == n:
@@ -219,10 +221,6 @@ def _mapping(source: Sequence[int], target: Sequence[int]) -> tuple[int, ...]:
 _MAPPING_SEARCH_BUDGET = 1
 
 
-class _SearchBudgetExceeded(Exception):
-    pass
-
-
 def are_isomorphic(a: BinMatrix, b: BinMatrix,
                    bound: int = DEFAULT_BOUND) -> PermSpec | None:
     """Search for a relabeling p with conjugate_by_perm(a, p) == b.
@@ -249,38 +247,39 @@ def are_isomorphic(a: BinMatrix, b: BinMatrix,
         return None
 
     nodes_left = _MAPPING_SEARCH_BUDGET * n
-
-    def search(colors_a: list[int], colors_b: list[int]) -> PermSpec | None:
-        nonlocal nodes_left
+    # depth-first, one frame per open node: a's child, the target cell, b's
+    # coloring, the round trace and b's untried candidates
+    stack: list[tuple] = []
+    colors_a, colors_b = root_a, root_b
+    while True:
         if max(colors_a) == n - 1:
             # discrete: a coloring inverted is its vertices in color order
             witness = PermSpec(_mapping(_mapping(colors_a, range(n)),
                                         _mapping(colors_b, range(n))))
-            return witness if conjugate_by_perm(a, witness) == b else None
-        if nodes_left <= 0:
-            raise _SearchBudgetExceeded
-        cells_a = _cells(colors_a)
-        cell = _target_cell(cells_a)
-        # a's child is the same for every candidate v: refine it once
-        trace: list[list[bytes]] = []
-        child_a = _refine(ga, _individualize(colors_a, cells_a[cell][0]),
-                          [cell], trace)
-        for v in _cells(colors_b)[cell]:
-            nodes_left -= 1
-            child_b = _refine(gb, _individualize(colors_b, v), [cell], trace)
-            if child_b is None:
+            if conjugate_by_perm(a, witness) == b:
+                return witness
+        elif nodes_left <= 0:
+            break
+        else:
+            cells_a = _cells(colors_a)
+            cell = _target_cell(cells_a)
+            # a's child is the same for every candidate v: refine it once
+            trace = []
+            child_a = _refine(ga, _individualize(colors_a, cells_a[cell][0]),
+                              [cell], trace)
+            stack.append((child_a, cell, colors_b, trace,
+                          iter(_cells(colors_b)[cell])))
+        colors_b = None
+        while stack and colors_b is None:
+            colors_a, cell, parent_b, trace, untried = stack[-1]
+            v = next(untried, None)
+            if v is None:
+                stack.pop()
                 continue
-            found = search(child_a, child_b)
-            if found is not None:
-                return found
-        return None
-
-    try:
-        return search(root_a, root_b)
-    except _SearchBudgetExceeded:
-        pass
-    finally:
-        del search  # a cycle through its own cell, holding graphs and traces
+            nodes_left -= 1
+            colors_b = _refine(gb, _individualize(parent_b, v), [cell], trace)
+        if colors_b is None:
+            return None
     canon_a, order_a = _canonical(ga)
     canon_b, order_b = _canonical(gb)
     if canon_a != canon_b:

@@ -1,6 +1,8 @@
+import argparse
 import dataclasses
 import hashlib
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -15,8 +17,8 @@ from hypothesis import strategies as st
 from dsrg import (BinMatrix, duval_feasible, enumerate_feasible, read_adj,
                   write_adj)
 from dsrg.adjio import AdjFormatError, format_adj, parse_adj
-from dsrg.cli import (FEASIBLE_MAX_N, build_catalog, build_parser,
-                      format_catalog, main, read_catalog)
+from dsrg.cli import (CATALOG_MAX_N, FEASIBLE_MAX_N, build_catalog,
+                      build_parser, format_catalog, main, read_catalog)
 from known_graphs import FIXTURE_8
 
 
@@ -491,10 +493,27 @@ def test_feasible_cap():
     assert code == 2 and "cap" in stderr
 
 
-def test_feasible_just_above_cap_refused():
-    # refused before any scanning, so this does not run the cap itself
-    code, stdout, stderr = run_cli("feasible", str(FEASIBLE_MAX_N + 1))
-    assert code == 2 and "cap" in stderr and stdout == ""
+def test_feasible_just_above_cap_refused(capsys):
+    # refused before any scanning or building, so this does not run the cap
+    # itself; the catalog's cap is refused the same way
+    for argv, message in (
+            (["feasible", str(FEASIBLE_MAX_N + 1)], "max_n 1001 exceeds the "
+                                                    "cap 1000"),
+            (["catalog", str(CATALOG_MAX_N + 1)], "max_n 301 exceeds the "
+                                                  "catalog cap 300")):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
+def test_catalog_96_needs_no_flag(capsys):
+    # runs under the catalog cap with no flag; the digest pins its table
+    assert main(["catalog", "96"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "21ec76f18f12d3cdedc55a1d54d53500c1cf9e2762034f39d0aecd82f56a781d"
 
 
 @pytest.mark.parametrize("args", [("feasible", "-3"), ("catalog", "-1")])
@@ -617,27 +636,13 @@ def test_tournaments_dump():
     assert stdout.startswith("order=5 classes=1")
 
 
-def test_tournaments_output_file_holds_the_dump(tmp_path, capsys):
-    # with -o the header stays on stdout and the classes go to the file
-    out = tmp_path / "t7.txt"
-    assert main(["tournaments", "--n", "7", "-o", str(out)]) == 0
-    header = capsys.readouterr().out
-    assert header == "order=7 classes=3\n"
-    assert main(["tournaments", "--n", "7"]) == 0
-    assert capsys.readouterr().out == header + out.read_text(encoding="ascii")
-
-
 def test_cayley_scan_cli():
     code, stdout, _ = run_cli("cayley-scan", "--group", "cyclic:8")
     assert code == 0 and stdout.strip() == ""
-    code, stdout, _ = run_cli("cayley-scan", "--group", "symmetric:3",
-                              "--max-results", "1")
-    assert code == 0 and len(stdout.strip().splitlines()) == 1
-    for limit in ("0", "-2"):
-        code, stdout, stderr = run_cli("cayley-scan", "--group", "symmetric:3",
-                                       "--max-results", limit)
-        assert (code, stdout) == (2, "")
-        assert stderr == f"input error: max_results must be >= 1, got {limit}\n"
+    # the full scan, in ascending bitmask order; `| head -N` keeps N lines
+    code, stdout, _ = run_cli("cayley-scan", "--group", "symmetric:3")
+    assert code == 0 and len(stdout.splitlines()) == 12
+    assert stdout.splitlines()[0] == "{(23),(123)} 6 2 1 0 1"
 
 
 def test_qr_search_cli():
@@ -908,18 +913,19 @@ def test_bound_flag_controls_classify(tmp_path):
     write_adj(big, path)
     code, _, stderr = run_cli("classify", str(path))
     assert code == 2 and "bound" in stderr
-    code, stdout, _ = run_cli("--bound", "49", "classify", str(path))
+    code, stdout, _ = run_cli("classify", "--bound", "49", str(path))
     assert code == 0 and len(stdout.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("argv", [["--bound", "-5", "catalog", "10"],
-                                  ["--bound", "0", "tournaments", "--n", "5"],
-                                  ["--bound", "0", "classify", "missing.adj"]])
+@pytest.mark.parametrize("argv", [["classify", "--bound", "-5", "missing.adj"],
+                                  ["classify", "--bound", "0", "missing.adj"],
+                                  ["classify", "missing.adj", "--bound", "0"]])
 def test_bound_below_one_is_refused(argv, capsys):
-    # refused before the command runs, whether or not it uses the bound
+    # refused before any file is read, wherever the option stands
     assert main(argv) == 2
+    bound = argv[argv.index("--bound") + 1]
     assert capsys.readouterr() == (
-        "", f"input error: --bound must be at least 1, got {argv[1]}\n")
+        "", f"input error: --bound must be at least 1, got {bound}\n")
 
 
 def test_tournaments_limit_refusal_is_input_error():
@@ -1017,6 +1023,20 @@ def test_readme_command_lines_parse():
     parser = build_parser()
     for words in commands:
         assert parser.parse_args(words[1:]).handler
+
+
+def test_readme_names_only_live_options():
+    # an option that moves or goes must leave the docs too; pip's flag in
+    # the install line is the one option of another program
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme.read_text()))
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    live = {s for p in (parser, *sub.choices.values())
+            for a in p._actions for s in a.option_strings}
+    assert "--bound" in named
+    assert named - live == {"--no-build-isolation"}
 
 
 def test_readme_construct_lines_run(tmp_path, monkeypatch, capsys):

@@ -463,3 +463,22 @@ def test_builders_refuse_above_the_vertex_cap():
                         (lambda: groups.hobart_shaw(505, "odd"), 2022)):
             with pytest.raises(BoundExceeded, match=f"would have {n} "):
                 call()
+
+
+def test_tournament_builders_refuse_above_the_vertex_cap():
+    # every builder over a tournament checks the size of its graph first:
+    # the order-1011 tournament is certified, but no block is assembled
+    from dsrg.iso import BoundExceeded
+    t = circulant_tournament(1011, range(1, 506))
+    never = {"side_effect": AssertionError("built")}
+    with mock.patch.object(cons, "block_compose", **never), \
+            mock.patch.object(cons, "team_lem6", **never):
+        for call, n in (
+                (lambda: cons.duval_b(t), 2022),
+                (lambda: cons.duval_c(t), 2022),
+                (lambda: cons.m_construction(t), 2022),
+                (lambda: cons.bordered_team_dsrg(t), 4048),
+                (lambda: cons.team_dsrg(t), 4048),
+                (lambda: cons.pq_dsrg(t, PermSpec.reversal(1011)), 2022)):
+            with pytest.raises(BoundExceeded, match=f"would have {n} "):
+                call()

@@ -181,17 +181,6 @@ def test_scan_bound_refusal():
         cayley_subset_scan(cyclic_group(17))
 
 
-def test_scan_truncation():
-    s3 = symmetric_group(3)
-    assert len(cayley_subset_scan(s3, max_results=2)) == 2
-
-
-@pytest.mark.parametrize("max_results", [0, -2])
-def test_scan_refuses_max_results_below_one(max_results):
-    with pytest.raises(InputError, match="max_results must be >= 1"):
-        cayley_subset_scan(symmetric_group(3), max_results=max_results)
-
-
 def test_abelian_groups_up_to_12():
     groups = abelian_groups_up_to(12)
     names = [name for name, _ in groups]

@@ -386,6 +386,27 @@ def test_are_isomorphic_leaves_no_reference_cycles():
         gc.enable()
 
 
+def test_lockstep_search_runs_without_deep_recursion():
+    # twins split off one per search node, so the search path is about as
+    # deep as the graph is large; a call stack of 120 frames must do at 150
+    script = textwrap.dedent("""
+        import random, sys
+        sys.setrecursionlimit(120)
+        from dsrg import (PermSpec, are_isomorphic, circulant_tournament,
+                          conjugate_by_perm, tall_blocks)
+        a = tall_blocks(circulant_tournament(3, {1}), 25).adj
+        b = conjugate_by_perm(a, PermSpec(tuple(
+            random.Random(1).sample(range(150), 150))))
+        w = are_isomorphic(a, b, bound=150)
+        print(a.n, w is not None and conjugate_by_perm(a, w) == b)
+        """)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "150 True\n"
+
+
 def _golden_inputs():
     """The twin-free outputs at n <= 48, two seeded relabelled copies of
     each as (output, copy) pairs, and every pair of outputs with equal

@@ -98,14 +98,14 @@ def test_public_names_are_pinned():
 # option strings of each subcommand, positionals by name, -h/--help left
 # out; the key "" holds the global options
 CLI_OPTIONS = {
-    "": ["--bound"],
+    "": [],
     "construct": ["method", "descriptor", "-o", "--output"],
     "verify": ["path"],
     "feasible": ["max_n"],
-    "classify": ["paths"],
+    "classify": ["paths", "--bound"],
     "catalog": ["max_n", "-o", "--output"],
-    "tournaments": ["--n", "-o", "--output"],
-    "cayley-scan": ["--group", "--max-results"],
+    "tournaments": ["--n"],
+    "cayley-scan": ["--group"],
     "qr-search": ["--q"],
     "pq-search": ["--tournament"],
 }
