@@ -42,14 +42,13 @@ FEASIBLE_MAX_N = 1000
 CATALOG_MAX_N = 300
 
 
-def parse_tournament(desc: str, vertices: Callable[[int], int] = int
-                     ) -> Tournament:
+def parse_tournament(desc: str) -> Tournament:
     """Tournament descriptors: circulant:N:e1,e2  standard:N  paley:Q
     enum:N:I (class I of enumerate_regular_tournaments(N))  adj:PATH.
 
-    ``vertices`` maps the order of the tournament to that of the graph
-    built over it; a descriptor whose graph would exceed cons.MAX_VERTICES
-    is refused before the tournament is built.
+    A tournament of more than cons.MAX_VERTICES vertices is refused before
+    it is built or certified; each builder checks the size of the graph it
+    builds.
     """
     kind, _, rest = desc.partition(":")
     if kind not in ("circulant", "standard", "paley", "enum", "adj"):
@@ -58,11 +57,11 @@ def parse_tournament(desc: str, vertices: Callable[[int], int] = int
     try:
         if kind == "adj":
             adj = read_adj(rest)
-            cons.check_vertex_cap(vertices(adj.n))
+            cons.check_vertex_cap(adj.n)
             return Tournament(adj)
         n_text, _, tail = rest.partition(":")
         n = int(rest if kind in ("standard", "paley") else n_text)
-        cons.check_vertex_cap(vertices(n))
+        cons.check_vertex_cap(n)
         if kind == "circulant":
             return circulant_tournament(n, {int(e) for e in tail.split(",") if e})
         if kind == "standard":
@@ -93,15 +92,12 @@ def parse_perm(spec: str, n: int) -> PermSpec:
 
 
 def parse_group(desc: str) -> grp.GroupTable:
-    """Group descriptors: cyclic:N  dihedral:N  symmetric:N; a group of more
-    than cons.MAX_VERTICES elements is refused before its table is built."""
+    """Group descriptors: cyclic:N  dihedral:N  symmetric:N."""
     kind, _, rest = desc.partition(":")
     try:
         if kind == "cyclic":
-            cons.check_vertex_cap(int(rest))
             return grp.cyclic_group(int(rest))
         if kind == "dihedral":
-            cons.check_vertex_cap(2 * int(rest))
             return grp.dihedral_group(int(rest))
         if kind == "symmetric":
             return grp.symmetric_group(int(rest))
@@ -116,15 +112,14 @@ def parse_group(desc: str) -> grp.GroupTable:
 # -- construct: one table row per catalog method tag ------------------------
 
 
-def _on_t(build, scale: int, border: int = 0):
-    """build(T, T's descriptor), its graph scale * (order + border) large."""
-    return lambda desc: build(
-        parse_tournament(desc, lambda n: scale * (n + border)), desc)
+def _on_t(build):
+    """build(T, T's descriptor)."""
+    return lambda desc: build(parse_tournament(desc), desc)
 
 
 def _pq(t_desc: str, images: str) -> cons.ConstructionResult:
-    t = parse_tournament(t_desc, lambda n: 2 * n)
-    return cons.pq_dsrg(t, parse_perm(images, t.order), f"{t_desc},p={images}")
+    t = parse_tournament(t_desc)
+    return cons.pq_dsrg(t, parse_perm(images, t.order), t_desc)
 
 
 def _kron(base_desc: str, m: str, side: str) -> cons.ConstructionResult:
@@ -152,22 +147,21 @@ def _cayley(group_desc: str, names: str) -> cons.ConstructionResult:
         raise InputError(f"bad connection set {names!r}: the elements of "
                          f"{group_desc} are {','.join(group.names)}")
     conn = frozenset(map(group.index_of, names.split(",")))
-    return grp.cayley_dsrg(grp.CayleySpec(group, conn),
-                           f"{group_desc},S={{{names}}}")
+    return grp.cayley_dsrg(grp.CayleySpec(group, conn), group_desc)
 
 
 # catalog method tag -> (grammar of the input the catalog prints after it, as
 # a pattern that re compiles on first use, builder of the pattern's groups)
 METHODS: dict[str, tuple[str, str, Callable[..., cons.ConstructionResult]]] = {
-    "duval_B": ("T", "(.*)", _on_t(cons.duval_b, 2)),
-    "duval_C": ("T", "(.*)", _on_t(cons.duval_c, 2)),
-    "m_of": ("T", "(.*)", _on_t(cons.m_construction, 2)),
+    "duval_B": ("T", "(.*)", _on_t(cons.duval_b)),
+    "duval_C": ("T", "(.*)", _on_t(cons.duval_c)),
+    "m_of": ("T", "(.*)", _on_t(cons.m_construction)),
     "wide": ("T,w=W", r"(.+),w=(-?\d+)", lambda t, w: cons.wide_blocks(
-        parse_tournament(t, lambda n: 2 * n * int(w)), int(w), t)),
+        parse_tournament(t), int(w), t)),
     "tall": ("T,w=W", r"(.+),w=(-?\d+)", lambda t, w: cons.tall_blocks(
-        parse_tournament(t, lambda n: 2 * n * int(w)), int(w), t)),
-    "lem5": ("T", "(.*)", _on_t(cons.team_dsrg, 4, 1)),
-    "lem6": ("T", "(.*)", _on_t(cons.bordered_team_dsrg, 4, 1)),
+        parse_tournament(t), int(w), t)),
+    "lem5": ("T", "(.*)", _on_t(cons.team_dsrg)),
+    "lem6": ("T", "(.*)", _on_t(cons.bordered_team_dsrg)),
     "lem7": ("s=S", r"s=(-?\d+)", lambda s: cons.cycle_sum_dsrg(int(s))),
     "qr": ("q=Q or q=Q,sigma1=A,sigma2=B,S={r1,r2,...}",
            r"q=(-?\d+)(?:,sigma1=(-?\d+),sigma2=(-?\d+),"
@@ -334,9 +328,7 @@ def all_construction_results(max_n: int,
                             f"lem5({label})")
             if 2 * order <= max_n and order <= cons.PQ_SEARCH_BOUND:
                 for p in cons.pq_search(t)[:1]:
-                    images = ",".join(map(str, p.images))
-                    attempt(lambda: cons.pq_dsrg(t, p, f"{label},p={images}"),
-                            f"pq({label})")
+                    attempt(lambda: cons.pq_dsrg(t, p, label), f"pq({label})")
     for s in range(1, (max_n - 4) // 4 + 1):
         attempt(lambda s=s: cons.cycle_sum_dsrg(s), f"lem7(s={s})")
     for q in (5, 13, 17):
@@ -347,8 +339,7 @@ def all_construction_results(max_n: int,
         s3 = grp.symmetric_group(3)
         conn = frozenset({s3.index_of("(12)"), s3.index_of("(123)")})
         attempt(lambda: grp.cayley_dsrg(grp.CayleySpec(s3, conn),
-                                        "symmetric:3,S={(12),(123)}"),
-                "cayley(symmetric:3)")
+                                        "symmetric:3"), "cayley(symmetric:3)")
     for lam in range(2, max_n // 4 + 1):
         attempt(lambda lam=lam: grp.hobart_shaw(lam, "even"),
                 f"hobart_shaw(lam={lam},even)")

@@ -283,7 +283,8 @@ def pq_dsrg(qmat: Tournament, p: PermSpec,
 
     Q is a regular tournament of valency mu and P an involution whose row
     permutation of Q is symmetric; parameters
-    (2(2mu+1), 2mu, mu, mu-1, mu).
+    (2(2mu+1), 2mu, mu, mu-1, mu).  The descriptor is the label (T's
+    descriptor) followed by ",p=" and P's images.
     """
     check_vertex_cap(2 * qmat.order)
     a, mu = _regular(qmat, "the symmetric-product construction",
@@ -299,8 +300,7 @@ def pq_dsrg(qmat: Tournament, p: PermSpec,
                        if pq.entry(i, j) != pqt.entry(i, j))
         raise ValueError(f"PQ is not symmetric: entries {witness} differ")
     adj = block_compose([[a, pq], [pqt, a]])
-    desc = label if label is not None else \
-        f"tournament(n={a.n}),p={','.join(map(str, p.images))}"
+    desc = _tournament_label(qmat, label) + f",p={','.join(map(str, p.images))}"
     return _result("pq", desc, adj,
                    (2 * (2 * mu + 1), 2 * mu, mu, mu - 1, mu))
 

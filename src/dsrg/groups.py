@@ -82,6 +82,7 @@ class GroupTable:
 def cyclic_group(n: int) -> GroupTable:
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
+    check_vertex_cap(n)
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     names = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, n)]
     return GroupTable.from_table(table, names[:n])
@@ -96,6 +97,7 @@ def dihedral_group(n: int) -> GroupTable:
     if n < 3:
         raise ValueError(f"dihedral groups here need n >= 3, got {n}")
     size = 2 * n
+    check_vertex_cap(size)
     table = [[0] * size for _ in range(size)]
     for i in range(n):
         for j in range(n):
@@ -244,7 +246,10 @@ def cayley_criteria(spec: CayleySpec) -> DsrgParams | None:
 
 
 def cayley_dsrg(spec: CayleySpec, label: str | None = None) -> ConstructionResult:
-    """A genuine Cayley DSRG (0 < t < k) as a verified construction result."""
+    """A genuine Cayley DSRG (0 < t < k) as a verified construction result.
+
+    The descriptor is the label (the group's descriptor) followed by
+    ",S={...}", the set's element names in index order."""
     adj = cayley_graph(spec)
     params = try_verify_dsrg(adj)
     if params is None:
@@ -252,8 +257,8 @@ def cayley_dsrg(spec: CayleySpec, label: str | None = None) -> ConstructionResul
     if not params.is_genuine:
         raise ValueError(f"not a genuine DSRG: {params} {params.classification}")
     names = ",".join(spec.group.names[s] for s in sorted(spec.conn))
-    desc = label if label is not None else f"order={spec.group.order},S={{{names}}}"
-    return ConstructionResult("cayley", desc, adj, params)
+    group = label if label is not None else f"order={spec.group.order}"
+    return ConstructionResult("cayley", f"{group},S={{{names}}}", adj, params)
 
 
 def hobart_shaw(lam: int, parity: str) -> ConstructionResult:

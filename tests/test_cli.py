@@ -377,9 +377,10 @@ def test_one_catalog_input_per_tag_replays_on_the_command_line(tmp_path,
 
 @st.composite
 def construct_calls(draw):
-    """A method and a descriptor over a circulant tournament, w, m, s or
-    lam, with the library call that builds the same graph."""
-    from dsrg import circulant_tournament, groups
+    """A method, a descriptor over a circulant tournament, w, m, s, lam or a
+    dihedral group, the descriptor the builder prints for it, and the
+    library call that builds the same graph."""
+    from dsrg import PermSpec, circulant_tournament, groups
     from dsrg import constructions as cons
     n = draw(st.sampled_from([3, 5, 7, 9]))
     conn = sorted(draw(st.sampled_from([i, n - i]))
@@ -390,17 +391,31 @@ def construct_calls(draw):
     side = draw(st.sampled_from(["left", "right"]))
     s, lam = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     parity = draw(st.sampled_from(["even", "odd"] if lam > 1 else ["odd"]))
+    # the Hobart-Shaw runs a..a^r, b..ba^r in dihedral:m, in index order
+    m, r = (2 * lam, lam - 1) if parity == "even" else (2 * lam + 1, lam)
+    powers = ["a" if i == 1 else f"a{i}" for i in range(1, r + 1)]
+    names = powers + ["b"] + [f"b{x}" for x in powers]
+    reversal = ",".join(map(str, PermSpec.reversal(n).images))
     return draw(st.sampled_from([
-        ("duval_B", t_desc, lambda: cons.duval_b(t)),
-        ("duval_C", t_desc, lambda: cons.duval_c(t)),
-        ("m_of", t_desc, lambda: cons.m_construction(t)),
-        ("lem6", t_desc, lambda: cons.bordered_team_dsrg(t)),
-        ("wide", f"{t_desc},w={w}", lambda: cons.wide_blocks(t, w)),
-        ("tall", f"{t_desc},w={w}", lambda: cons.tall_blocks(t, w)),
+        ("duval_B", t_desc, t_desc, lambda: cons.duval_b(t)),
+        ("duval_C", t_desc, t_desc, lambda: cons.duval_c(t)),
+        ("m_of", t_desc, t_desc, lambda: cons.m_construction(t)),
+        ("lem6", t_desc, t_desc, lambda: cons.bordered_team_dsrg(t)),
+        ("wide", f"{t_desc},w={w}", f"{t_desc},w={w}",
+         lambda: cons.wide_blocks(t, w)),
+        ("tall", f"{t_desc},w={w}", f"{t_desc},w={w}",
+         lambda: cons.tall_blocks(t, w)),
         ("kron", f"duval_C({t_desc}),m={w},{side}",
+         f"duval_C({t_desc}),m={w},{side}",
          lambda: cons.kronecker_expand(cons.duval_c(t).adj, w, side)),
-        ("lem7", f"s={s}", lambda: cons.cycle_sum_dsrg(s)),
-        ("hobart_shaw", f"lam={lam},{parity}",
+        ("lem7", f"s={s}", f"s={s}", lambda: cons.cycle_sum_dsrg(s)),
+        ("hobart_shaw", f"lam={lam},{parity}", f"lam={lam},{parity}",
+         lambda: groups.hobart_shaw(lam, parity)),
+        # pq writes the images, and cayley the names in index order
+        ("pq", f"{t_desc},p=reversal", f"{t_desc},p={reversal}",
+         lambda: cons.pq_dsrg(t, PermSpec.reversal(n))),
+        ("cayley", f"dihedral:{m},S={{{','.join(names[::-1])}}}",
+         f"dihedral:{m},S={{{','.join(names)}}}",
          lambda: groups.hobart_shaw(lam, parity)),
     ]))
 
@@ -409,11 +424,12 @@ def construct_calls(draw):
 @given(construct_calls())
 def test_construct_round_trips_its_descriptor(call):
     from dsrg.cli import construct
-    method, desc, direct = call
+    method, desc, printed, direct = call
     r = construct(method, desc)
-    assert (r.method, r.input_descriptor) == (method, desc)
+    assert (r.method, r.input_descriptor) == (method, printed)
     assert r.adj == direct().adj
     again = construct(r.method, r.input_descriptor)
+    assert again.input_descriptor == printed
     assert format_adj(again.adj) == format_adj(r.adj)
 
 
@@ -689,25 +705,31 @@ def test_qr_builds_up_to_the_cap_and_refuses_above_it():
 
 def test_vertex_cap_refuses_before_building(tmp_path, capsys):
     # one cap for every construct method: qr's 2,018 vertices at q = 1009;
-    # no tournament, group, circulant, block matrix or product is built
-    from dsrg import circulant_tournament, cli, duval_b
+    # each builder refuses before any circulant, block matrix, product or
+    # group table is built, and a tournament order above the cap is
+    # refused before the tournament is built or, from a file, certified
+    from dsrg import circulant_tournament, duval_b
+    from dsrg import cli
     from dsrg import constructions as cons
     from dsrg import groups as grp
     assert cons.MAX_VERTICES == 2 * cons._QR_MAX_Q == 2018
     base = tmp_path / "base.adj"
     write_adj(duval_b(circulant_tournament(5, {1, 2})).adj, base)
+    big = tmp_path / "big.adj"
+    write_adj(circulant_tournament(2019, set(range(1, 1010))).adj, big)
     never = {"side_effect": AssertionError("built")}
-    with mock.patch.object(cli, "circulant_tournament", **never), \
-            mock.patch.object(cons, "sigma_circulant", **never), \
+    with mock.patch.object(cons, "sigma_circulant", **never), \
             mock.patch.object(cons, "block_compose", **never), \
             mock.patch.object(cons, "kronecker", **never), \
             mock.patch.object(grp, "sigma_circulant", **never), \
             mock.patch.object(grp, "block_compose", **never), \
-            mock.patch.object(grp, "cyclic_group", **never), \
-            mock.patch.object(grp, "dihedral_group", **never):
+            mock.patch.object(grp.GroupTable, "from_table", **never), \
+            mock.patch.object(cli, "Tournament", **never):
         for argv, n in ((["lem6", "standard:505"], 2024),
+                        (["lem6", "standard:2019"], 2019),
                         (["lem5", "standard:2001"], 8008),
-                        (["m_of", "circulant:1011:1"], 2022),
+                        (["m_of", "standard:1011"], 2022),
+                        (["m_of", f"adj:{big}"], 2019),
                         (["wide", "standard:5,w=202"], 2020),
                         (["tall", "standard:7,w=1000000000"], 14000000000),
                         (["pq", "standard:1011,p=reversal"], 2022),
@@ -1040,12 +1062,12 @@ def test_readme_names_only_live_options():
 
 
 def test_readme_construct_lines_run(tmp_path, monkeypatch, capsys):
-    # in order, in one directory (a kron line reads the g.adj written
-    # above it); a comment 'prints "..."' gives the parameters printed
+    # in order, in one directory (the kron and verify lines read the g.adj
+    # written above them); a comment 'prints "..."' gives the exact stdout
     monkeypatch.chdir(tmp_path)
     lines = [line for line in _readme_command_lines()
-             if line.startswith("dsrg construct ")]
-    assert len(lines) == 11
+             if line.startswith("dsrg construct ") or 'prints "' in line]
+    assert len(lines) == 12
     printed = 0
     for line in lines:
         assert main(shlex.split(line, comments=True)[1:]) == 0, line
@@ -1054,4 +1076,4 @@ def test_readme_construct_lines_run(tmp_path, monkeypatch, capsys):
             expected = line.split('prints "', 1)[1].split('"', 1)[0]
             assert out == expected + "\n", line
             printed += 1
-    assert printed == 10
+    assert printed == 11

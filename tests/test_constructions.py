@@ -231,6 +231,10 @@ def test_pq_reproduces_displayed_matrix():
     r = cons.pq_dsrg(q7, PermSpec.reversal(7))
     assert r.params.as_tuple() == (14, 6, 3, 2, 3)
     assert r.adj == FIXTURE_14
+    # the descriptor is the label, or the order, followed by the images
+    assert r.input_descriptor == "tournament(n=7),p=0,6,5,4,3,2,1"
+    assert cons.pq_dsrg(q7, PermSpec.reversal(7), "standard:7"
+                        ).input_descriptor == "standard:7,p=0,6,5,4,3,2,1"
 
 
 def test_pq_examples():
@@ -448,19 +452,23 @@ def test_construction_refusals(call, error, fragment):
 
 
 def test_builders_refuse_above_the_vertex_cap():
-    # a size given as a number is checked before any block is built
+    # a size given as a number is checked before any block or group table
+    # is built
     from dsrg import groups
     from dsrg.iso import BoundExceeded
     never = {"side_effect": AssertionError("built")}
     with mock.patch.object(cons, "block_compose", **never), \
             mock.patch.object(cons, "kronecker", **never), \
             mock.patch.object(cons, "sigma_circulant", **never), \
-            mock.patch.object(groups, "sigma_circulant", **never):
+            mock.patch.object(groups, "sigma_circulant", **never), \
+            mock.patch.object(groups.GroupTable, "from_table", **never):
         for call, n in ((lambda: cons.wide_blocks(Z5, 202), 2020),
                         (lambda: cons.tall_blocks(Z5, 202), 2020),
                         (lambda: cons.cycle_sum_dsrg(504), 2020),
                         (lambda: cons.kronecker_expand(FIXTURE_10, 202), 2020),
-                        (lambda: groups.hobart_shaw(505, "odd"), 2022)):
+                        (lambda: groups.hobart_shaw(505, "odd"), 2022),
+                        (lambda: groups.cyclic_group(2019), 2019),
+                        (lambda: groups.dihedral_group(1010), 2020)):
             with pytest.raises(BoundExceeded, match=f"would have {n} "):
                 call()
 

@@ -223,7 +223,11 @@ def test_cayley_dsrg_wrapper():
     conn = frozenset({s3.index_of("(12)"), s3.index_of("(123)")})
     r = cayley_dsrg(CayleySpec(s3, conn))
     assert r.method == "cayley"
+    assert r.input_descriptor == "order=6,S={(12),(123)}"
     assert r.params.as_tuple() == (6, 2, 1, 0, 1)
+    # a label is the group's descriptor, followed by the names in index order
+    assert cayley_dsrg(CayleySpec(s3, conn), "symmetric:3").input_descriptor \
+        == "symmetric:3,S={(12),(123)}"
     with pytest.raises(ValueError, match="criteria"):
         cayley_dsrg(CayleySpec(cyclic_group(6), frozenset({1, 2})))
 
