@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .iso import BoundExceeded
-from .matrix import (BinMatrix, InputError, PermSpec, _indicator,
-                     block_compose, kronecker, sigma_circulant)
+from .matrix import (BinMatrix, BoundExceeded, InputError, PermSpec,
+                     _indicator, block_compose, kronecker, sigma_circulant)
 from .numth import is_prime, mod_inverse, quadratic_residues
 from .params import DsrgParams, verify_dsrg
 from .tournaments import Tournament, is_doubly_regular_tournament, team_lem6
@@ -50,7 +49,6 @@ def _result(method: str, descriptor: str, adj: BinMatrix,
 # of 188 MB, and lem6 over standard:501 (2,008 vertices) 2.1 s at 183 MB
 # (2-vCPU Xeon, Python 3.11); time grows as n^3 and memory as n^2
 MAX_VERTICES = 2018
-_QR_MAX_Q = MAX_VERTICES // 2
 
 
 def check_vertex_cap(n: int) -> None:
@@ -210,9 +208,7 @@ def _check_difference_partition(q: int, m: int, s_set: frozenset[int]) -> None:
 
 def _check_qr_modulus(q: int) -> None:
     # the cap comes first: is_prime is trial division
-    if q > _QR_MAX_Q:
-        raise BoundExceeded(
-            f"q = {q} exceeds the quadratic-residue cap {_QR_MAX_Q}")
+    check_vertex_cap(2 * q)
     if not is_prime(q) or q % 4 != 1:
         raise InputError(f"need a prime q = 1 (mod 4), got {q}")
 
@@ -225,8 +221,8 @@ def qr_dsrg(q: int, sigma1: int, sigma2: int,
     sigma1- and sigma2-circulants whose first row is the indicator of
     s_set, which must satisfy the difference-partition property against
     its complement; sigma1*sigma2 = 1 with both sigmas non-residues.
-    Parameters (2q, q-1, 2m, 2m-1, 2m).  Moduli above _QR_MAX_Q are
-    refused before anything is built.
+    Parameters (2q, q-1, 2m, 2m-1, 2m).  A q whose 2q vertices exceed
+    MAX_VERTICES is refused before anything is built.
     """
     _check_qr_modulus(q)
     m = (q - 1) // 4

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .constructions import ConstructionResult, _result, check_vertex_cap
-from .iso import BoundExceeded
-from .matrix import (BinMatrix, InputError, _indicator, block_compose,
-                     sigma_circulant)
+from .matrix import (BinMatrix, BoundExceeded, InputError, _indicator,
+                     block_compose, sigma_circulant)
 from .params import DsrgParams, try_verify_dsrg
 
 SCAN_BOUND = 16
@@ -41,6 +40,9 @@ class GroupTable:
     @classmethod
     def from_table(cls, table: Sequence[Sequence[int]],
                    names: Sequence[str] | None = None) -> "GroupTable":
+        """Group whose table[a][b] is the index of a*b.  The table must be
+        a Latin square with a two-sided identity; one of more than 64
+        elements skips the O(n^3) associativity check."""
         n = len(table)
         rows = tuple(tuple(row) for row in table)
         if any(len(row) != n for row in rows):

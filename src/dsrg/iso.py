@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .matrix import (BinMatrix, InputError, PermSpec, _bit_bytes,
+from .matrix import (BinMatrix, BoundExceeded, PermSpec, _bit_bytes,
                      _relabeled_rows, conjugate_by_perm)
 
 DEFAULT_BOUND = 48
@@ -53,13 +53,6 @@ DEFAULT_BOUND = 48
 # Hashed into every certificate; bumped whenever canonical matrices change.
 # Version 2 labels graphs with twins through their twin quotient.
 CERT_VERSION = 2
-
-_MAX_STORED_AUTOMORPHISMS = 64
-
-
-class BoundExceeded(InputError):
-    """An order limit was exceeded."""
-
 
 def _check_bound(n: int, bound: int) -> None:
     if n > bound:
@@ -377,10 +370,9 @@ class _CanonicalSearch:
                 self.best_branches = list(self.branches)
             elif shells == self.best_shells:
                 assert self.best_order is not None
-                if len(self.autos) < _MAX_STORED_AUTOMORPHISMS:
-                    auto = _mapping(self.best_order, fixed)
-                    if auto not in self.autos and auto != tuple(range(self.n)):
-                        self.autos.append(auto)
+                auto = _mapping(self.best_order, fixed)
+                if auto not in self.autos and auto != tuple(range(self.n)):
+                    self.autos.append(auto)
                 common = 0
                 limit = min(len(self.branches), len(self.best_branches))
                 while common < limit and \
@@ -465,7 +457,11 @@ def classify(graphs: Iterable[BinMatrix], bound: int = DEFAULT_BOUND
     Each class comes with its certificate, which every member shares.
     Graphs of different orders are trivially in distinct classes.  Classes
     are ordered by (order, canonical matrix); members keep input order.
+    Every order is checked against the bound before any graph is labeled.
     """
+    graphs = list(graphs)
+    for g in graphs:
+        _check_bound(g.n, bound)
     classes: dict[tuple[int, tuple[int, ...]],
                   tuple[IsoCertificate, list[int]]] = {}
     for idx, g in enumerate(graphs):

@@ -25,6 +25,10 @@ class InputError(ValueError):
     construction (exit code 2 on the command line)."""
 
 
+class BoundExceeded(InputError):
+    """An order limit was exceeded."""
+
+
 def _full_mask(n: int) -> int:
     return (1 << n) - 1
 

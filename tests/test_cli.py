@@ -155,7 +155,8 @@ def test_construct_golden(argv, stdout, digest, tmp_path, capsys):
 
 # one descriptor per method tag that lacks an input of its grammar, which
 # the message names (parse_tournament names T's kinds); each id is the label
-# of the case it replaced, which named the missing options
+# of the case it replaced, which named the missing options.  The last two
+# parse, and their builders refuse a number outside their domain
 T_KINDS = ("unknown tournament descriptor kind '' "
            "(use circulant/standard/paley/enum/adj)")
 
@@ -176,11 +177,13 @@ T_KINDS = ("unknown tournament descriptor kind '' "
                            "(use GROUP,S={name1,name2,...})"),
     ("hobart_shaw", "lam=2", "bad hobart_shaw descriptor 'lam=2' "
                              "(use lam=L,even|odd)"),
+    ("lem7", "s=0", "need s >= 1, got 0"),
+    ("hobart_shaw", "lam=0,even", "need lam >= 1, got 0"),
 ], ids=["duval-b---tournament", "duval-c---tournament", "m---tournament",
         "wide---tournament and --w", "tall---tournament and --w",
         "lem5---tournament", "lem6---tournament", "lem7---s", "qr---q",
         "pq---tournament", "kron---input and --m", "cayley---group and --conn",
-        "hobart-shaw---lam and --parity"])
+        "hobart-shaw---lam and --parity", "lem7-s-0", "hobart-shaw-lam-0"])
 def test_construct_missing_inputs_are_input_errors(method, desc, message,
                                                    capsys):
     assert main(["construct", method, desc]) == 2
@@ -693,14 +696,15 @@ def test_qr_builds_up_to_the_cap_and_refuses_above_it():
     assert code == 0 and len(stdout.splitlines()) == 36
     code, stdout, _ = run_cli("construct", "qr", "q=37")
     assert code == 0 and stdout == "74 36 18 17 18\n"
-    # both construct paths and the listing refuse q = 1013 > 1009
+    # both construct paths and the listing refuse q = 1013 > 1009, whose
+    # 2,026 vertices exceed the vertex cap
     for argv in (["construct", "qr", "q=1013"],
                  ["construct", "qr", "q=1013,sigma1=3,sigma2=338,S={1,4}"],
                  ["qr-search", "--q", "1013"]):
         code, stdout, stderr = run_cli(*argv)
         assert code == 2 and stdout == ""
-        assert stderr == "input error: q = 1013 exceeds the " \
-            "quadratic-residue cap 1009\n"
+        assert stderr == "input error: the graph would have 2026 vertices, " \
+            "above the cap 2018\n"
 
 
 def test_vertex_cap_refuses_before_building(tmp_path, capsys):
@@ -712,7 +716,7 @@ def test_vertex_cap_refuses_before_building(tmp_path, capsys):
     from dsrg import cli
     from dsrg import constructions as cons
     from dsrg import groups as grp
-    assert cons.MAX_VERTICES == 2 * cons._QR_MAX_Q == 2018
+    assert cons.MAX_VERTICES == 2018
     base = tmp_path / "base.adj"
     write_adj(duval_b(circulant_tournament(5, {1, 2})).adj, base)
     big = tmp_path / "big.adj"
@@ -937,6 +941,21 @@ def test_bound_flag_controls_classify(tmp_path):
     assert code == 2 and "bound" in stderr
     code, stdout, _ = run_cli("classify", "--bound", "49", str(path))
     assert code == 0 and len(stdout.strip().splitlines()) == 1
+
+
+def test_classify_refuses_before_labelling_any_graph(tmp_path, capsys):
+    # an order above the bound anywhere in the list is refused before the
+    # graphs ahead of it are canonicalised
+    from dsrg import iso
+    small, big = tmp_path / "small.adj", tmp_path / "big.adj"
+    write_adj(FIXTURE_8, small)
+    write_adj(BinMatrix.zeros(11), big)
+    with mock.patch.object(iso, "_canonical",
+                           side_effect=AssertionError("labelled")):
+        assert main(["classify", "--bound", "10", str(small), str(big)]) == 2
+    assert capsys.readouterr() == (
+        "", "input error: order 11 exceeds the isomorphism bound 10; pass a "
+            "larger bound explicitly (runtime grows quickly)\n")
 
 
 @pytest.mark.parametrize("argv", [["classify", "--bound", "-5", "missing.adj"],

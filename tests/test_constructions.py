@@ -162,14 +162,16 @@ def test_qr_search_small():
 
 
 def test_qr_cap_refuses_before_building():
-    # 1013 is the first prime = 1 (mod 4) above the cap; the cap is
-    # checked before the arguments, so none of them is looked at
+    # 1013 is the first prime = 1 (mod 4) above the vertex cap on 2q
+    # vertices; the cap is checked before the arguments, so none of them is
+    # looked at, and before the trial division of is_prime
     from dsrg import BoundExceeded
-    assert cons._QR_MAX_Q == 1009
-    with pytest.raises(BoundExceeded, match="cap 1009"):
-        cons.qr_dsrg(1013, 3, 338, ())
-    with pytest.raises(BoundExceeded, match="cap 1009"):
-        cons.qr_search(1013)
+    with mock.patch.object(cons, "is_prime",
+                           side_effect=AssertionError("tested")):
+        with pytest.raises(BoundExceeded, match="would have 2026 "):
+            cons.qr_dsrg(1013, 3, 338, ())
+        with pytest.raises(BoundExceeded, match="would have 2026 "):
+            cons.qr_search(1013)
 
 
 @pytest.mark.parametrize("q", [5, 13, 17])
@@ -466,6 +468,7 @@ def test_builders_refuse_above_the_vertex_cap():
                         (lambda: cons.tall_blocks(Z5, 202), 2020),
                         (lambda: cons.cycle_sum_dsrg(504), 2020),
                         (lambda: cons.kronecker_expand(FIXTURE_10, 202), 2020),
+                        (lambda: cons.qr_dsrg(1013, 3, 338, ()), 2026),
                         (lambda: groups.hobart_shaw(505, "odd"), 2022),
                         (lambda: groups.cyclic_group(2019), 2019),
                         (lambda: groups.dihedral_group(1010), 2020)):

@@ -66,8 +66,11 @@ def test_group_table_default_names():
     (lambda: symmetric_group(6), ValueError, "1 <= n <= 5, got 6"),
     (lambda: hobart_shaw(2, "both"), InputError,
      "parity must be 'even' or 'odd', got 'both'"),
+    (lambda: CayleySpec(cyclic_group(5), frozenset({7})), InputError,
+     "connection set indices out of range"),
 ], ids=["not-square", "column", "no-identity", "not-associative",
-        "cyclic-0", "dihedral-2", "symmetric-6", "hobart-shaw-parity"])
+        "cyclic-0", "dihedral-2", "symmetric-6", "hobart-shaw-parity",
+        "cayley-index-range"])
 def test_group_refusals(call, error, fragment):
     with pytest.raises(ValueError) as info:
         call()

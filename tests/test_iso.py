@@ -460,6 +460,16 @@ def test_refine_call_count_pinned():
         (693, 3542)
 
 
+def test_every_found_automorphism_prunes():
+    # the perfect matching v -> v xor 1 has 2^48 * 48! automorphisms;
+    # orbit pruning with every one that a leaf witnesses takes 2,400
+    # refinements, and a cap of 64 stored ones would take 12,185
+    matching = BinMatrix(96, tuple(1 << (v ^ 1) for v in range(96)))
+    with mock.patch.object(iso, "_refine", wraps=iso._refine) as refine:
+        cert = canonical_form(matching, bound=96)
+    assert (refine.call_count, cert.cert_hash) == (2400, "3807ef4ad95036e5")
+
+
 # -- property tests on graphs with twins -------------------------------------
 
 

@@ -3,6 +3,9 @@ a change that adds, removes or renames a public name or a CLI knob must
 edit these lists, so it shows in the diff."""
 
 import argparse
+import ast
+import re
+from pathlib import Path
 
 import dsrg
 from dsrg.cli import build_parser
@@ -125,3 +128,28 @@ def test_cli_options_are_pinned():
     found = {"": _options(parser)}
     found.update((name, _options(p)) for name, p in sub.choices.items())
     assert found == CLI_OPTIONS
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_public_limit_is_documented():
+    # a module-level integer constant with a public ALL_CAPS name is a
+    # limit or version a user meets, so README.md names it
+    readme = (ROOT / "README.md").read_text()
+    limits = []
+    for path in sorted((ROOT / "src" / "dsrg").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign) and \
+                    isinstance(node.value, ast.Constant) and \
+                    type(node.value.value) is int:
+                limits += [t.id for t in node.targets
+                           if isinstance(t, ast.Name)
+                           and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)]
+    assert "MAX_VERTICES" in limits
+    assert [name for name in limits if name not in readme] == []
+
+
+def test_bound_exceeded_is_one_class():
+    assert dsrg.BoundExceeded is dsrg.iso.BoundExceeded is \
+        dsrg.matrix.BoundExceeded
