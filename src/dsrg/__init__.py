@@ -20,8 +20,8 @@ from .params import (DOUBLY_REGULAR_TOURNAMENT, GENUINE, UNDIRECTED,
                      DsrgParams, FeasibilityReport, NotDsrg,
                      complement_graph, complement_params, duval_feasible,
                      enumerate_feasible, try_verify_dsrg, verify_dsrg)
-from .tournaments import (FamilyMatrix, NotTournament, TeamProfile,
-                          Tournament, circulant_tournament, cycle_sum_family,
+from .tournaments import (NotTournament, TeamProfile, Tournament,
+                          circulant_tournament,
                           enumerate_regular_tournaments,
                           is_doubly_regular_team,
                           is_doubly_regular_tournament, paley_tournament,

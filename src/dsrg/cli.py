@@ -10,6 +10,7 @@ flag-driven; no environment variables are read.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -91,22 +92,26 @@ def parse_perm(spec: str, n: int) -> PermSpec:
     return perm
 
 
-def parse_group(desc: str) -> grp.GroupTable:
-    """Group descriptors: cyclic:N  dihedral:N  symmetric:N."""
+def parse_group(desc: str, scan: bool = False) -> grp.GroupTable:
+    """Group descriptors: cyclic:N  dihedral:N  symmetric:N.
+
+    For a scan, a group of more than groups.SCAN_BOUND elements (N, 2N or
+    N!) is refused before its table is built; symmetric_group refuses an N
+    outside 1..5 itself, before N! is taken."""
     kind, _, rest = desc.partition(":")
+    if kind not in ("cyclic", "dihedral", "symmetric"):
+        raise InputError(f"unknown group descriptor kind {kind!r} "
+                         f"(use cyclic/dihedral/symmetric)")
     try:
-        if kind == "cyclic":
-            return grp.cyclic_group(int(rest))
-        if kind == "dihedral":
-            return grp.dihedral_group(int(rest))
-        if kind == "symmetric":
-            return grp.symmetric_group(int(rest))
+        n = int(rest)
+        if scan and (kind != "symmetric" or 1 <= n <= 5):
+            grp._check_scan_bound(math.factorial(n) if kind == "symmetric"
+                                  else 2 * n if kind == "dihedral" else n)
+        return getattr(grp, f"{kind}_group")(n)
     except iso.BoundExceeded:
         raise
     except ValueError as exc:
         raise InputError(f"bad group descriptor {desc!r}: {exc}") from exc
-    raise InputError(f"unknown group descriptor kind {kind!r} "
-                     f"(use cyclic/dihedral/symmetric)")
 
 
 # -- construct: one table row per catalog method tag ------------------------
@@ -236,7 +241,7 @@ def cmd_tournaments(args: argparse.Namespace) -> int:
 
 
 def cmd_cayley_scan(args: argparse.Namespace) -> int:
-    group = parse_group(args.group)
+    group = parse_group(args.group, scan=True)
     for conn, params in grp.cayley_subset_scan(group):
         names = ",".join(group.names[s] for s in sorted(conn))
         print(f"{{{names}}} {params}")

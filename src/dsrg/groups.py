@@ -74,9 +74,6 @@ class GroupTable:
             names = tuple(f"g{i}" for i in range(n))
         return cls(n, rows, identity, tuple(inverse), tuple(names), abelian)
 
-    def mult(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def index_of(self, name: str) -> int:
         return self.names.index(name)
 
@@ -304,6 +301,12 @@ def hobart_shaw(lam: int, parity: str) -> ConstructionResult:
                    block_compose([[c, x], [x, c]]), expected)
 
 
+def _check_scan_bound(order: int) -> None:
+    if order > SCAN_BOUND:
+        raise BoundExceeded(
+            f"group order {order} exceeds the scan bound {SCAN_BOUND}")
+
+
 def cayley_subset_scan(g: GroupTable
                        ) -> list[tuple[frozenset[int], DsrgParams]]:
     """Exhaustive scan over connection sets yielding genuine parameters.
@@ -311,9 +314,7 @@ def cayley_subset_scan(g: GroupTable
     Subsets of the non-identity elements are visited in ascending bitmask
     order (so output order is reproducible) and kept when the product
     criteria succeed with 0 < t < k.  Refuses orders above SCAN_BOUND."""
-    if g.order > SCAN_BOUND:
-        raise BoundExceeded(
-            f"group order {g.order} exceeds the scan bound {SCAN_BOUND}")
+    _check_scan_bound(g.order)
     non_identity = [x for x in range(g.order) if x != g.identity]
     found: list[tuple[frozenset[int], DsrgParams]] = []
     for mask in range(1, 1 << len(non_identity)):

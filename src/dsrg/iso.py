@@ -31,8 +31,8 @@ Twins (vertices with identical in- and out-neighborhoods) are
 interchangeable, so branching through a twin class only repeats work.
 Canonical labeling therefore searches the twin quotient (the rows and
 columns of one representative per class, cut out by ``_relabeled_rows``),
-colored by class size, and expands its best leaf class by class;
-twin-free graphs are searched as they are.  Certificate hashes include
+colored by class size, and expands its best leaf class by class; a
+twin-free graph is its own quotient.  Certificate hashes include
 ``CERT_VERSION``, which changes whenever canonical matrices do.
 """
 
@@ -410,30 +410,26 @@ def _canonical(graph: tuple[tuple[int, ...], tuple[int, ...]]
     """Canonical matrix and order of the graph with bits (rows, arcs).
 
     Twins (vertices with equal rows and columns, so equal arcs) are
-    collapsed to one representative each, keeping its loop bit, which
-    records whether the members of its class are mutually adjacent.  The
-    quotient is searched with its vertices colored by class size, and the
-    best leaf is expanded class by class, members in ascending label order.
-    Twins are interchangeable, so the expansion is the same for every
-    relabeling, and the quotient with its class sizes can be read back off
-    the expanded matrix.  A twin-free graph is searched directly.
+    collapsed to one representative each; twins are never adjacent, as
+    equal rows give A[u][v] = A[v][v] = 0.  The quotient is searched with
+    its vertices colored by class size, and the best leaf is expanded class
+    by class, members in ascending label order.  Twins are interchangeable,
+    so the expansion is the same for every relabeling, and the quotient
+    with its class sizes can be read back off the expanded matrix.  A
+    twin-free graph is its own quotient and is searched on its own bits.
     """
     rows, arcs = graph
     n = len(rows)
     classes: dict[int, list[int]] = {}
     for v, arc in enumerate(arcs):
         classes.setdefault(arc, []).append(v)
-    if len(classes) == n:
-        order = _CanonicalSearch(graph, [0] * n).run()
-    else:
-        members = list(classes.values())
-        reps = [m[0] for m in members]
-        quotient = _graph_bits(BinMatrix(len(reps),
-                                         _relabeled_rows(rows, reps)))
-        sizes = sorted({len(m) for m in members})
-        colors = [sizes.index(len(m)) for m in members]
-        order = [v for c in _CanonicalSearch(quotient, colors).run()
-                 for v in members[c]]
+    members = list(classes.values())
+    quotient = graph if len(members) == n else _graph_bits(BinMatrix(
+        len(members), _relabeled_rows(rows, [m[0] for m in members])))
+    sizes = sorted({len(m) for m in members})
+    colors = [sizes.index(len(m)) for m in members]
+    order = [v for c in _CanonicalSearch(quotient, colors).run()
+             for v in members[c]]
     return BinMatrix(n, _relabeled_rows(rows, order)), order
 
 

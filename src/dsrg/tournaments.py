@@ -148,46 +148,6 @@ def paley_tournament(q: int) -> Tournament:
     return circulant_tournament(q, quadratic_residues(q))
 
 
-@dataclass(frozen=True)
-class FamilyMatrix:
-    """Cycle-power sum with a computed tournament-validity flag."""
-
-    matrix: BinMatrix
-    exponents: frozenset[int]
-    is_tournament: bool
-
-
-def cycle_sum_family(n: int, which: str, j: int | None = None) -> FamilyMatrix:
-    """Sums of cycle powers on odd order n = 2k+1.
-
-    which = "odd" sums exponents {1, 3, .., 2k-1}; "even" sums
-    {2, 4, .., 2k}; "run" sums the shifted run {j+1, .., j+k} for
-    0 <= j <= k.  The validity flag records whether the exponent set
-    satisfies the tournament partition condition; no claim is made that it
-    always does (the run family fails for some j, e.g. n=7, j=1).
-    """
-    if n % 2 == 0 or n < 3:
-        raise ValueError(f"need odd n >= 3, got {n}")
-    k = (n - 1) // 2
-    if which == "odd":
-        exps = frozenset(range(1, 2 * k, 2))
-    elif which == "even":
-        exps = frozenset(range(2, 2 * k + 1, 2))
-    elif which == "run":
-        if j is None or not 0 <= j <= k:
-            raise ValueError(f"run family needs 0 <= j <= k = {k}, got {j}")
-        exps = frozenset((j + i) % n for i in range(1, k + 1))
-    else:
-        raise ValueError(f"unknown family {which!r}; use odd, even, or run")
-    matrix = sigma_circulant(n, _indicator(n, exps), 1)
-    try:
-        Tournament(matrix)
-        valid = True
-    except NotTournament:
-        valid = False
-    return FamilyMatrix(matrix, exps, valid)
-
-
 def team_lem6(t: Tournament) -> BinMatrix:
     """Two bordered copies of a regular tournament, transposed crosswise.
 
@@ -319,7 +279,7 @@ def _cross_matrices(row_sums: list[int], need: list[int]
 
 
 def _neighbourhood_candidates(n: int) -> Iterator[tuple[int, ...]]:
-    """Labeled regular tournaments of odd order n >= 3 meeting every class.
+    """Labeled regular tournaments of odd order n meeting every class.
 
     With k = (n-1)/2, vertex 0 beats 1..k, which induce one representative
     T_out of the order-k classes, and loses to k+1..2k, which induce a
@@ -396,8 +356,6 @@ def enumerate_regular_tournaments(n: int) -> list[Tournament]:
     if n > ENUMERATION_LIMIT:
         raise iso.BoundExceeded(
             f"order {n} exceeds the enumeration limit {ENUMERATION_LIMIT}")
-    if n == 1:
-        return [Tournament(BinMatrix.zeros(1))]
     k = (n - 1) // 2
     out = []
     for cert, _ in iso.classify((BinMatrix(n, rows)

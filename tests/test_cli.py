@@ -748,6 +748,22 @@ def test_vertex_cap_refuses_before_building(tmp_path, capsys):
                     f"above the cap 2018\n")
 
 
+def test_scan_bound_refuses_before_building(capsys):
+    # cayley-scan checks the order a descriptor names (N, 2N or N!) against
+    # the scan bound before any group table is built, so dihedral:2000 meets
+    # the scan bound rather than the vertex cap
+    from dsrg import groups as grp
+    with mock.patch.object(grp.GroupTable, "from_table",
+                           side_effect=AssertionError("built")):
+        for group, order in (("cyclic:17", 17), ("cyclic:2000", 2000),
+                             ("dihedral:9", 18), ("dihedral:1000", 2000),
+                             ("dihedral:2000", 4000), ("symmetric:4", 24)):
+            assert main(["cayley-scan", "--group", group]) == 2
+            assert capsys.readouterr() == (
+                "", f"input error: group order {order} exceeds the scan "
+                    f"bound 16\n")
+
+
 def test_vertex_cap_leaves_smaller_graphs_alone():
     # lem6 over standard:251 has 1,008 vertices
     code, stdout, _ = run_cli("construct", "lem6", "standard:251")

@@ -82,8 +82,8 @@ def test_dihedral_relations():
     n = 4
     a, b = 1, n  # generators
     # b a b = a^-1
-    assert d.mult(d.mult(b, a), b) == d.inverse[a]
-    assert d.mult(b, b) == d.identity
+    assert d.table[d.table[b][a]][b] == d.inverse[a]
+    assert d.table[b][b] == d.identity
     assert d.names[:4] == ("e", "a", "a2", "a3")
     assert d.names[4:6] == ("b", "ba")
 

@@ -19,7 +19,6 @@ PUBLIC = [
     "DOUBLY_REGULAR_TOURNAMENT",
     "DimensionError",
     "DsrgParams",
-    "FamilyMatrix",
     "FeasibilityReport",
     "GENUINE",
     "GroupTable",
@@ -49,7 +48,6 @@ PUBLIC = [
     "constructions",
     "cycle_power",
     "cycle_sum_dsrg",
-    "cycle_sum_family",
     "cycle_sum_matrix",
     "cyclic_group",
     "dihedral_group",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dsrg import (BinMatrix, NotTournament, PermSpec, TeamProfile,
                   Tournament, are_isomorphic, block_compose,
                   circulant_tournament, complement_graph, conjugate_by_perm,
-                  cycle_power, cycle_sum_family,
+                  cycle_power,
                   enumerate_regular_tournaments, is_doubly_regular_team,
                   is_doubly_regular_tournament, mat_mul_count,
                   paley_tournament, team_lem6)
@@ -92,24 +92,22 @@ def test_circulant_rejects_non_positive_order(n, conn):
 
 
 def test_cycle_sum_families():
-    fam = cycle_sum_family(5, "odd")
-    assert fam.exponents == frozenset({1, 3})
-    assert fam.is_tournament
-    fam0 = cycle_sum_family(5, "even")
-    assert fam0.exponents == frozenset({2, 4})
-    assert fam0.is_tournament
-    famj = cycle_sum_family(7, "run", 1)
-    assert famj.exponents == frozenset({2, 3, 4})
-    assert not famj.is_tournament
-    assert cycle_sum_family(7, "run", 0).is_tournament
+    # the odd {1, 3, .., 2k-1}, even {2, .., 2k} and run {j+1, .., j+k}
+    # exponent sets, over circulant_tournament, which refuses a set that is
+    # not a tournament
+    assert circulant_tournament(5, {1, 3}).valency == 2
+    assert circulant_tournament(5, {2, 4}).valency == 2
+    assert circulant_tournament(7, {1, 2, 3}).valency == 3
+    with pytest.raises(ValueError,
+                       match="residue 3 and its negation 4 are both present"):
+        circulant_tournament(7, {2, 3, 4})
 
 
 def test_cycle_sum_family_has_commuting_transposer():
-    # the odd-exponent family's rows all reappear as columns
+    # the odd-exponent set's rows all reappear as columns
     from dsrg import find_commuting_transposer
-    fam = cycle_sum_family(7, "odd")
-    assert fam.is_tournament
-    assert find_commuting_transposer(fam.matrix) is not None
+    t = circulant_tournament(7, {1, 3, 5})
+    assert find_commuting_transposer(t.adj) is not None
 
 
 def test_team_from_drt_profile():
@@ -293,12 +291,7 @@ def test_team_profile_matches_oracle_with_two_byte_fields():
     (lambda: circulant_tournament(5, {0, 1, 2}), ValueError,
      "residue 0 is not allowed"),
     (lambda: paley_tournament(5), ValueError, "need a prime q = 3 (mod 4)"),
-    (lambda: cycle_sum_family(4, "odd"), ValueError, "need odd n >= 3"),
-    (lambda: cycle_sum_family(5, "run", 3), ValueError,
-     "run family needs 0 <= j <= k = 2, got 3"),
-    (lambda: cycle_sum_family(5, "all"), ValueError, "unknown family 'all'"),
-], ids=["team-loop", "residue-0", "paley-5", "family-even-order",
-        "family-run-j", "family-unknown"])
+], ids=["team-loop", "residue-0", "paley-5"])
 def test_tournament_refusals(call, error, fragment):
     with pytest.raises(ValueError) as info:
         call()
@@ -366,7 +359,7 @@ def orbit_of(rows, n):
     return orbit
 
 
-@pytest.mark.parametrize("n,expected_classes", [(3, 1), (5, 1), (7, 3)])
+@pytest.mark.parametrize("n,expected_classes", [(1, 1), (3, 1), (5, 1), (7, 3)])
 def test_enumeration_counts_against_naive_oracle(n, expected_classes):
     reps = enumerate_regular_tournaments(n)
     assert len(reps) == expected_classes
