@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import constructions as cons
 from . import groups as grp
@@ -117,9 +117,9 @@ def parse_group(desc: str, scan: bool = False) -> grp.GroupTable:
 # -- construct: one table row per catalog method tag ------------------------
 
 
-def _on_t(build):
-    """build(T, T's descriptor)."""
-    return lambda desc: build(parse_tournament(desc), desc)
+def _on_t(name: str):
+    """cons.<name>(T, T's descriptor), looked up when called."""
+    return lambda desc: getattr(cons, name)(parse_tournament(desc), desc)
 
 
 def _pq(t_desc: str, images: str) -> cons.ConstructionResult:
@@ -128,6 +128,11 @@ def _pq(t_desc: str, images: str) -> cons.ConstructionResult:
 
 
 def _kron(base_desc: str, m: str, side: str) -> cons.ConstructionResult:
+    levels = 1 + len(re.match(r"(?:kron\()*", base_desc)[0]) // len("kron(")
+    if 2 ** levels > cons.MAX_VERTICES:  # refused before recursing
+        raise iso.BoundExceeded(
+            f"{levels} nested kron levels give at least 2^{levels} "
+            f"vertices, above the cap {cons.MAX_VERTICES}")
     method, _, inner = base_desc.partition("(")
     if base_desc.startswith("adj:"):
         base = read_adj(base_desc[4:])
@@ -158,15 +163,15 @@ def _cayley(group_desc: str, names: str) -> cons.ConstructionResult:
 # catalog method tag -> (grammar of the input the catalog prints after it, as
 # a pattern that re compiles on first use, builder of the pattern's groups)
 METHODS: dict[str, tuple[str, str, Callable[..., cons.ConstructionResult]]] = {
-    "duval_B": ("T", "(.*)", _on_t(cons.duval_b)),
-    "duval_C": ("T", "(.*)", _on_t(cons.duval_c)),
-    "m_of": ("T", "(.*)", _on_t(cons.m_construction)),
+    "duval_B": ("T", "(.*)", _on_t("duval_b")),
+    "duval_C": ("T", "(.*)", _on_t("duval_c")),
+    "m_of": ("T", "(.*)", _on_t("m_construction")),
     "wide": ("T,w=W", r"(.+),w=(-?\d+)", lambda t, w: cons.wide_blocks(
         parse_tournament(t), int(w), t)),
     "tall": ("T,w=W", r"(.+),w=(-?\d+)", lambda t, w: cons.tall_blocks(
         parse_tournament(t), int(w), t)),
-    "lem5": ("T", "(.*)", _on_t(cons.team_dsrg)),
-    "lem6": ("T", "(.*)", _on_t(cons.bordered_team_dsrg)),
+    "lem5": ("T", "(.*)", _on_t("team_dsrg")),
+    "lem6": ("T", "(.*)", _on_t("bordered_team_dsrg")),
     "lem7": ("s=S", r"s=(-?\d+)", lambda s: cons.cycle_sum_dsrg(int(s))),
     "qr": ("q=Q or q=Q,sigma1=A,sigma2=B,S={r1,r2,...}",
            r"q=(-?\d+)(?:,sigma1=(-?\d+),sigma2=(-?\d+),"
@@ -264,93 +269,83 @@ def cmd_pq_search(args: argparse.Namespace) -> int:
 
 
 @dataclass(frozen=True)
-class CatalogEntry:
-    method: str
-    input_descriptor: str
-    params: DsrgParams
+class CatalogEntry(cons.ConstructionResult):
     cert_hash: str
-    adj: BinMatrix
 
 
-def _tournament_sources(order: int) -> list[tuple[Tournament, str]]:
-    if order <= 7:
-        return [(t, f"enum:{order}:{i}")
-                for i, t in enumerate(enumerate_regular_tournaments(order))]
-    labels = [f"standard:{order}"]
-    if is_prime(order) and order % 4 == 3:
-        labels.append(f"paley:{order}")
-    return [(parse_tournament(label), label) for label in labels]
+def _tournament_sources(max_n: int) -> Iterator[tuple[Tournament, str]]:
+    """Each regular tournament of an order N whose smallest graph (2N
+    vertices) fits in max_n, with its descriptor: every class up to order 7
+    (enum:N:I), then standard:N and, for a prime N = 3 (mod 4), paley:N.
+    Orders stop at 17 whatever max_n is, so no route builds (38, 18, 9, 8,
+    9), (42, 20, 10, 9, 10) or (46, 22, 11, 10, 11) into catalog 48."""
+    for order in range(3, min(17, max_n // 2) + 1, 2):
+        if order <= 7:
+            for i, t in enumerate(enumerate_regular_tournaments(order)):
+                yield t, f"enum:{order}:{i}"
+            continue
+        kinds = ["standard"] + ["paley"] * (is_prime(order) and order % 4 == 3)
+        for label in [f"{kind}:{order}" for kind in kinds]:
+            yield parse_tournament(label), label
 
 
 def all_construction_results(max_n: int,
                              failures: list[str] | None = None
                              ) -> list[cons.ConstructionResult]:
     """Run every construction over its enumerable inputs up to max_n
-    vertices, in a fixed order, one route per graph: over each regular
-    tournament T duval_B, duval_C, m_of, the wide pattern as kron(duval_B(T),
-    w, left), tall(T, w), lem6, lem5, pq; then lem7, qr, cayley, Hobart-Shaw.
-    Tournaments stop at order 17 whatever max_n is, so no route builds
-    (38, 18, 9, 8, 9), (42, 20, 10, 9, 10) or (46, 22, 11, 10, 11).
+    vertices, in a fixed order, one route per graph: over each source
+    tournament T duval_B, duval_C, m_of, the wide pattern as
+    kron(duval_B(T), w, left), tall(T, w), lem6, lem5, pq, taking T as
+    built (parsing enum:N:I enumerates order N again); then lem7, qr,
+    cayley and Hobart-Shaw, replayed by construct from their header inputs.
 
     A construction that rejects its input is recorded in ``failures``
-    (when given) instead of aborting the run.
+    (when given) as ``METHOD(DESCRIPTOR): reason``, which ``dsrg construct
+    METHOD DESCRIPTOR`` reruns, instead of aborting the run.
     """
     results: list[cons.ConstructionResult] = []
 
-    def attempt(thunk, description: str) -> cons.ConstructionResult | None:
+    def attempt(method: str, desc: str, build=None, *args):
         try:
-            result = thunk()
+            result = construct(method, desc) if build is None else build(*args)
         except ValueError as exc:
             if failures is None:
                 raise
-            failures.append(f"{description}: {exc}")
+            failures.append(f"{method}({desc}): {exc}")
             return None
         results.append(result)
         return result
 
-    # orders stop at 17, not at max_n: a higher cap changes catalog 48's output
-    for order in range(3, 18, 2):
-        k = (order - 1) // 2
-        for t, label in _tournament_sources(order):
-            if 4 * k + 2 <= max_n:
-                base = attempt(lambda: cons.duval_b(t, label),
-                               f"duval_B({label})")
-                attempt(lambda: cons.duval_c(t, label), f"duval_C({label})")
-                attempt(lambda: cons.m_construction(t, label), f"m_of({label})")
-                for w in range(2, max_n // (4 * k + 2) + 1):
-                    # J_w x base is wide_blocks(T, w); base x J_w relabels it
-                    if base is not None:
-                        attempt(lambda w=w: cons.kronecker_expand(
-                            base.adj, w, "left", f"duval_B({label})"),
-                            f"kron(duval_B({label}),m={w},left)")
-                    attempt(lambda w=w: cons.tall_blocks(t, w, label),
-                            f"tall({label},w={w})")
-            if 4 * (order + 1) <= max_n:
-                attempt(lambda: cons.bordered_team_dsrg(t, label),
-                        f"lem6({label})")
-                if is_doubly_regular_tournament(t) is not None:
-                    attempt(lambda: cons.team_dsrg(t, label),
-                            f"lem5({label})")
-            if 2 * order <= max_n and order <= cons.PQ_SEARCH_BOUND:
-                for p in cons.pq_search(t)[:1]:
-                    attempt(lambda: cons.pq_dsrg(t, p, label), f"pq({label})")
+    for t, label in _tournament_sources(max_n):
+        base = attempt("duval_B", label, cons.duval_b, t, label)
+        attempt("duval_C", label, cons.duval_c, t, label)
+        attempt("m_of", label, cons.m_construction, t, label)
+        for w in range(2, max_n // (2 * t.order) + 1):
+            # J_w x base is wide_blocks(T, w); base x J_w relabels it
+            if base is not None:
+                attempt("kron", f"duval_B({label}),m={w},left",
+                        cons.kronecker_expand, base.adj, w, "left",
+                        f"duval_B({label})")
+            attempt("tall", f"{label},w={w}", cons.tall_blocks, t, w, label)
+        if 4 * (t.order + 1) <= max_n:
+            attempt("lem6", label, cons.bordered_team_dsrg, t, label)
+            if is_doubly_regular_tournament(t) is not None:
+                attempt("lem5", label, cons.team_dsrg, t, label)
+        if t.order <= cons.PQ_SEARCH_BOUND:
+            for p in cons.pq_search(t)[:1]:
+                attempt("pq", f"{label},p={','.join(map(str, p.images))}",
+                        cons.pq_dsrg, t, p, label)
     for s in range(1, (max_n - 4) // 4 + 1):
-        attempt(lambda s=s: cons.cycle_sum_dsrg(s), f"lem7(s={s})")
+        attempt("lem7", f"s={s}")
     for q in (5, 13, 17):
         if 2 * q <= max_n:
-            attempt(lambda: cons.qr_dsrg(q, *cons.qr_search(q)[0]),
-                    f"qr(q={q})")
+            attempt("qr", f"q={q}")
     if 6 <= max_n:
-        s3 = grp.symmetric_group(3)
-        conn = frozenset({s3.index_of("(12)"), s3.index_of("(123)")})
-        attempt(lambda: grp.cayley_dsrg(grp.CayleySpec(s3, conn),
-                                        "symmetric:3"), "cayley(symmetric:3)")
+        attempt("cayley", "symmetric:3,S={(12),(123)}")
     for lam in range(2, max_n // 4 + 1):
-        attempt(lambda lam=lam: grp.hobart_shaw(lam, "even"),
-                f"hobart_shaw(lam={lam},even)")
+        attempt("hobart_shaw", f"lam={lam},even")
     for lam in range(1, (max_n - 2) // 4 + 1):
-        attempt(lambda lam=lam: grp.hobart_shaw(lam, "odd"),
-                f"hobart_shaw(lam={lam},odd)")
+        attempt("hobart_shaw", f"lam={lam},odd")
     return results
 
 
@@ -365,8 +360,7 @@ def build_catalog(max_n: int,
     # every result has at most max_n vertices, so that bound never refuses
     firsts = sorted((members[0], cert.cert_hash) for cert, members
                     in iso.classify((r.adj for r in results), max_n))
-    return [CatalogEntry(results[i].method, results[i].input_descriptor,
-                         results[i].params, cert_hash, results[i].adj)
+    return [CatalogEntry(**vars(results[i]), cert_hash=cert_hash)
             for i, cert_hash in firsts]
 
 
@@ -408,7 +402,7 @@ def read_catalog(path: str | Path) -> list[CatalogEntry]:
             raise ValueError(
                 f"catalog entry {block[0]!r} hash mismatch; catalogs written "
                 f"before certificate version {CERT_VERSION} must be rebuilt")
-        entries.append(CatalogEntry(method, descriptor, params, cert_hash, adj))
+        entries.append(CatalogEntry(method, descriptor, adj, params, cert_hash))
         block = []
     return entries
 

@@ -1,5 +1,6 @@
-"""The functions the benchmark's tracer wraps must exist, so that a change
-which drops one fails here rather than in the first traced benchmark run."""
+"""The functions the benchmark's tracer wraps must exist and be reached, so
+that a change which drops or bypasses one fails here rather than in the first
+traced benchmark run."""
 
 import json
 import subprocess
@@ -46,6 +47,15 @@ def test_every_workload_runs_at_toy_size():
             last = json.loads(stdout.splitlines()[-1])
             assert last["correct"] is True, (key, stderr)
             assert last["failed"] == 0, (key, stderr)
+            if key == ("catalog", 1):
+                # a route that reaches a builder around the module attribute
+                # the tracer wraps would zero its metric silently
+                metrics = {k: v["value"] for k, v in last["metrics"].items()}
+                assert metrics["constructions.results"] == 46
+                for name in ("constructions.pq_search_s",
+                             "constructions.qr_search_s",
+                             "groups.hobart_shaw_s"):
+                    assert metrics[name] > 0, name
     finally:
         for proc in runs.values():
             proc.kill()

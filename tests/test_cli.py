@@ -202,6 +202,31 @@ def test_construct_bad_kron_base_is_input_error(capsys):
         "", "input error: bad lem7 descriptor 's' (use s=S)\n")
 
 
+def _nested_kron(levels: int) -> str:
+    """kron applied `levels` times over duval_B(enum:3:0), each with m = 2."""
+    inner = levels - 1
+    return "kron(" * inner + "duval_B(enum:3:0)" + ",m=2,left)" * inner + \
+        ",m=2,left"
+
+
+def test_construct_deep_kron_refused_before_recursing(capsys):
+    # each level at least doubles the order, so 11 or more levels exceed the
+    # cap whatever the base; 700 levels once recursed into a RecursionError
+    start = time.perf_counter()
+    assert main(["construct", "kron", _nested_kron(700)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr() == (
+        "", "input error: 700 nested kron levels give at least 2^700 "
+            "vertices, above the cap 2018\n")
+    # 9 levels over 6 vertices still meet the cap inside the recursion
+    assert main(["construct", "kron", _nested_kron(9)]) == 2
+    assert capsys.readouterr() == (
+        "", "input error: the graph would have 3072 vertices, above the "
+            "cap 2018\n")
+    assert main(["construct", "kron", _nested_kron(2)]) == 0
+    assert capsys.readouterr() == ("24 8 4 0 4\n", "")
+
+
 @pytest.mark.parametrize("desc", ["standard:-3", "circulant:-3:1",
                                   "circulant:0:1"])
 def test_construct_non_positive_order_is_input_error(desc):
@@ -360,6 +385,18 @@ def test_every_catalog_input_replays():
         assert (again.method, again.input_descriptor) == \
             (r.method, r.input_descriptor)
         assert format_adj(again.adj) == format_adj(r.adj), r.input_descriptor
+
+
+def test_sweep_order_pinned():
+    # bench/workloads.py seeds its classify copies from the order of the
+    # sweep's results, so the order is pinned as well as the results
+    from dsrg.cli import all_construction_results
+    digest = hashlib.sha256()
+    for r in all_construction_results(96):
+        digest.update(f"{r.method} {r.input_descriptor} {r.params}\n".encode())
+        digest.update(format_adj(r.adj).encode())
+    assert digest.hexdigest() == \
+        "e857fcc0f9bf3a807271353bd43e244591417abe8bd9c767c813feaf24f9aeac"
 
 
 def test_one_catalog_input_per_tag_replays_on_the_command_line(tmp_path,
@@ -897,6 +934,33 @@ def test_catalog_records_a_failing_construction():
         results = all_construction_results(20, failures)
     assert failures == ["lem6(enum:3:0): no layout"]
     assert results == expected
+
+
+def _no_layout(*args, **kwargs):
+    raise ValueError("no layout")
+
+
+@pytest.mark.parametrize("module, builder", [
+    ("constructions", "duval_b"), ("constructions", "kronecker_expand"),
+    ("constructions", "tall_blocks"), ("constructions", "team_dsrg"),
+    ("constructions", "pq_dsrg"), ("constructions", "cycle_sum_dsrg"),
+    ("constructions", "qr_dsrg"), ("groups", "cayley_dsrg"),
+    ("groups", "hobart_shaw")])
+def test_every_failure_line_reruns(module, builder, capsys):
+    # a failure line names the method and descriptor that dsrg construct
+    # takes, so the same builder fails again on the command line
+    import importlib
+    from dsrg.cli import all_construction_results
+    failures = []
+    with mock.patch.object(importlib.import_module(f"dsrg.{module}"),
+                           builder, _no_layout):
+        all_construction_results(20, failures)
+        assert failures
+        for line in failures:
+            match = re.fullmatch(r"(\w+)\((.*)\): no layout", line)
+            assert match, line
+            assert main(["construct", *match.groups()]) == 1, line
+            assert capsys.readouterr() == ("", "error: no layout\n"), line
 
 
 def test_catalog_failure_propagates_without_a_list():
