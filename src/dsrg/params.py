@@ -243,13 +243,15 @@ def iter_feasible(max_n: int) -> Iterator[DsrgParams]:
     which are integers whenever (mu - lam)^2 + 4(t - mu) is a square d^2
     (then d = mu - lam mod 2); the balance equation reads
     mu n = (k - rho)(k - sigma).  With x = k - rho and y = k - sigma the scan
-    visits every (n, x, y, rho) the order conditions allow, each with its
-    root d = y - x, so balance, order, genuineness and the square root hold
-    by construction.  The mu band, divisibility, parity and magnitude are
-    decided on plain integers by duval_feasible's own helpers, and only a
-    yielded tuple becomes a DsrgParams.  On a 2-vCPU x86-64 host with
-    Python 3.11 it takes about 0.1 s at max_n = 200, 0.26 s at 300 and
-    3.6 s at 1000.
+    visits (n, x, y, rho) with root d = y - x, so balance, genuineness and
+    the square root hold by construction.  Duval's numerator
+    2k - (mu - lam)(n - 1) is 2(x + rho n) - d(n - 1): d divides it with a
+    quotient = n - 1 (mod 2) exactly when x + rho n = 0 (mod d), and the
+    quotient's magnitude is at most n - 1 exactly when x + rho n <= d(n - 1),
+    which rho < d and y < n always give.  So rho walks one progression, the
+    mu band is decided by duval_feasible's own helper, and only a yielded
+    tuple becomes a DsrgParams.  On a 2-vCPU x86-64 host with Python 3.11
+    it takes about 0.03 s at max_n = 200, 0.08 s at 300 and 1.05 s at 1000.
     """
     for n in range(1, max_n + 1):
         # lam = mu + rho + sigma and t = mu - rho sigma >= mu >= 1, and
@@ -258,29 +260,25 @@ def iter_feasible(max_n: int) -> Iterator[DsrgParams]:
         #   t < k     <=>  rho (d - 1 - rho) < x - mu, so mu < x and y < n;
         #                  with mu >= 1, 2 <= x < y < n and k <= n - 2
         #   n | x y   with y < n needs y to be a multiple of n / gcd(x, n)
-        #   lam >= 0  <=>  2 rho >= d - mu
-        # rho (d - 1 - rho) is symmetric about (d - 1)/2, so t < k holds on
-        # [0, a] and [d - 1 - a, d - 1], a the last rho <= (d - 1)/2 with
-        # (d - 1 - 2 rho)^2 >= e = (d - 1)^2 - 4(x - mu - 1).
+        #   lam >= 0  <=>  mu - lam = d - 2 rho <= mu
+        # x + rho n = 0 (mod d) needs g = gcd(n, d) to divide x, and then
+        # rho = -(x / g)(n / g)^-1 (mod d / g): one progression below d.
         batch = []
         for x in range(2, n - 1):
             step = n // math.gcd(x, n)
             for y in range(x - x % step + step, n, step):
-                mu = x * y // n
                 d = y - x
-                e = (d - 1) ** 2 - 4 * (x - mu - 1)
-                root = math.isqrt(max(e, 0))
-                a = (d - 1 - root - (root * root < e)) // 2
-                lo = max(0, (d + 1 - mu) // 2)
-                for rho in (*range(lo, a + 1),
-                            *range(max(lo, a + 1, d - 1 - a), d)):
+                g = math.gcd(n, d)
+                if x % g:
+                    continue
+                mu = x * y // n
+                m = d // g
+                for rho in range(-(x // g) * pow(n // g, -1, m) % m, d, m):
                     k = x + rho
                     t = mu + rho * (d - rho)
                     diff = d - 2 * rho
-                    if _mu_band_ok(k, t, diff):
-                        _, parity_ok, magnitude_ok = _quotient(n, k, diff, d)
-                        if parity_ok and magnitude_ok:
-                            batch.append((k, t, mu - diff, mu))
+                    if diff <= mu and t < k and _mu_band_ok(k, t, diff):
+                        batch.append((k, t, mu - diff, mu))
         batch.sort()
         for k, t, lam, mu in batch:
             yield DsrgParams(n, k, t, lam, mu)

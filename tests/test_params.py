@@ -213,7 +213,7 @@ def _scan_oracle_60():
 def _eigenvalue_span(p):
     """(rho, sigma, full) of a feasible tuple: Duval's eigenvalues, and
     whether every rho in [0, d - 1] of its pair x = k - rho, y = k - sigma
-    (d = y - x) meets t < k, so that the scan takes its span whole."""
+    (d = y - x) meets t < k, or the scan's t < k test cuts some out."""
     n, k, t, lam, mu = p.as_tuple()
     d = math.isqrt((mu - lam) ** 2 + 4 * (t - mu))
     rho = (lam - mu + d) // 2
@@ -237,15 +237,38 @@ def test_iter_feasible_matches_scan_oracle_drawn(max_n):
         [p for p in _scan_oracle_60() if p.n <= max_n]
 
 
-def test_scan_judges_each_square_discriminant_candidate_once():
+def test_scan_judges_each_congruent_candidate_once():
     # the candidates are the (n, k, t, lambda) that balance and the order
-    # conditions allow with a square (mu - lambda)^2 + 4(t - mu); the
+    # conditions allow with a square (mu - lambda)^2 + 4(t - mu) whose root
+    # divides Duval's numerator with a quotient of the parity of n - 1; the
     # eigenvalue scan reaches each once and nothing else
     with mock.patch.object(params, "_mu_band_ok",
                            wraps=params._mu_band_ok) as judged:
         enumerate_feasible(60)
-    squares = sum(duval_feasible(p).square_ok for p in _balance_candidates(60))
-    assert judged.call_count == squares
+    reports = [duval_feasible(p) for p in _balance_candidates(60)]
+    congruent = sum(r.square_ok and r.divisibility_ok and r.parity_ok
+                    for r in reports)
+    assert judged.call_count == congruent == 738
+
+
+def test_scan_congruence_replaces_divisibility_parity_and_magnitude():
+    # for every (n, x, y, rho) of the scan's range up to 60, with
+    # k = x + rho and mu - lambda = d - 2 rho: divisibility and parity of
+    # Duval's quotient hold exactly when x + rho n = 0 (mod d), and its
+    # magnitude bound always holds
+    for n in range(1, 61):
+        for x in range(2, n):
+            for y in range(x + 1, n):
+                if x * y % n:
+                    continue
+                d = y - x
+                for rho in range(d):
+                    quotient, parity_ok, magnitude_ok = params._quotient(
+                        n, x + rho, d - 2 * rho, d)
+                    assert (quotient is not None and parity_ok) == \
+                        ((x + rho * n) % d == 0)
+                    assert x + rho * n <= d * (n - 1)
+                    assert magnitude_ok or quotient is None
 
 
 def test_scan_builds_params_only_for_yielded_tuples():
