@@ -12,7 +12,7 @@ from .groups import (CayleySpec, GroupTable, abelian_groups_up_to,
                      cayley_subset_scan, cyclic_group, dihedral_group,
                      direct_product, hobart_shaw, symmetric_group)
 from .iso import (BoundExceeded, IsoCertificate, are_isomorphic,
-                  canonical_form, classify, find_commuting_transposer)
+                  canonical_form, classify)
 from .matrix import (BinMatrix, DimensionError, IntMatrix, PermSpec,
                      block_compose, conjugate_by_perm, cycle_power,
                      kronecker, mat_mul_count, sigma_circulant)

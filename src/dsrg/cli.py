@@ -81,8 +81,8 @@ def parse_tournament(desc: str) -> Tournament:
 
 
 def parse_perm(spec: str, n: int) -> PermSpec:
-    if spec in ("reversal", "identity"):
-        return getattr(PermSpec, spec)(n)
+    if spec == "reversal":
+        return PermSpec.reversal(n)
     try:
         perm = PermSpec(tuple(int(x) for x in spec.split(",")))
         if len(perm) != n:
@@ -176,7 +176,7 @@ METHODS: dict[str, tuple[str, str, Callable[..., cons.ConstructionResult]]] = {
     "qr": ("q=Q or q=Q,sigma1=A,sigma2=B,S={r1,r2,...}",
            r"q=(-?\d+)(?:,sigma1=(-?\d+),sigma2=(-?\d+),"
            r"S=\{(-?\d+(?:,-?\d+)*)\})?", _qr),
-    "pq": ("T,p=reversal|identity|i0,i1,...", "(.+),p=(.+)", _pq),
+    "pq": ("T,p=reversal|i0,i1,...", "(.+),p=(.+)", _pq),
     "kron": ("BASE,m=M,left|right", r"(.+),m=(-?\d+),(left|right)", _kron),
     "cayley": ("GROUP,S={name1,name2,...}", r"([^,]*),S=\{(.*)\}", _cayley),
     "hobart_shaw": ("lam=L,even|odd", r"lam=(-?\d+),(even|odd)",

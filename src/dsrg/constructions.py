@@ -58,14 +58,12 @@ def check_vertex_cap(n: int) -> None:
                             f"cap {MAX_VERTICES}")
 
 
-def _regular(t: Tournament, what: str,
-             min_valency: int = 0) -> tuple[BinMatrix, int]:
+def _regular(t: Tournament, what: str) -> tuple[BinMatrix, int]:
     if not t.is_regular:
         raise ValueError(f"{what} needs a regular tournament")
     assert t.valency is not None
-    if t.valency < min_valency:
-        raise ValueError(
-            f"{what} needs valency >= {min_valency}, got {t.valency}")
+    if t.valency < 1:
+        raise ValueError(f"{what} needs valency >= 1, got {t.valency}")
     return t.adj, t.valency
 
 
@@ -80,7 +78,7 @@ def _alternating(t: Tournament, w: int, by_row: bool, method: str,
     if w < 1:
         raise InputError(f"block multiplicity must be >= 1, got {w}")
     check_vertex_cap(2 * t.order * w)
-    a, k = _regular(t, what, min_valency=1)
+    a, k = _regular(t, what)
     at = a.transpose()
     adj = block_compose([[at if (r if by_row else c) % 2 else a
                           for c in range(2 * w)] for r in range(2 * w)])
@@ -118,7 +116,7 @@ def m_construction(t: Tournament, label: str | None = None) -> ConstructionResul
     the two blocks.
     """
     check_vertex_cap(2 * t.order)
-    a, k = _regular(t, "the m construction", min_valency=1)
+    a, k = _regular(t, "the m construction")
     return _result("m_of", _tournament_label(t, label), m_of(a),
                    (4 * k + 2, 2 * k + 1, k + 1, k, k + 1))
 
@@ -145,7 +143,6 @@ def tall_blocks(t: Tournament, w: int,
 
 def _bordered_team(method: str, t: Tournament,
                    label: str | None) -> ConstructionResult:
-    _regular(t, "the bordered-team construction")
     h = t.order
     return _result(method, _tournament_label(t, label), m_of(team_lem6(t)),
                    (4 * (h + 1), 2 * h + 1, h + 1, h, h))
@@ -191,21 +188,6 @@ def cycle_sum_dsrg(s: int) -> ConstructionResult:
                    (4 * (s + 1), 2 * s + 1, s + 1, s, s))
 
 
-def _check_difference_partition(q: int, m: int, s_set: frozenset[int]) -> None:
-    """Each nonzero residue must occur exactly m times among s - t
-    (s in S, t in the complement T); raises naming the first offender."""
-    t_set = [x for x in range(1, q) if x not in s_set]
-    counts = [0] * q
-    for s in s_set:
-        for t in t_set:
-            counts[(s - t) % q] += 1
-    for x in range(1, q):
-        if counts[x] != m:
-            raise ValueError(
-                f"difference-partition failure: residue {x} occurs "
-                f"{counts[x]} times, expected {m}")
-
-
 def _check_qr_modulus(q: int) -> None:
     # the cap comes first: is_prime is trial division
     check_vertex_cap(2 * q)
@@ -219,26 +201,27 @@ def qr_dsrg(q: int, sigma1: int, sigma2: int,
 
     Q is the residue matrix of the prime q = 4m+1; C1 and C2 are the
     sigma1- and sigma2-circulants whose first row is the indicator of
-    s_set, which must satisfy the difference-partition property against
-    its complement; sigma1*sigma2 = 1 with both sigmas non-residues.
+    s_set, which must be the residues or the non-residues (the only sets
+    with the difference-partition property, as qr_search shows);
+    sigma1*sigma2 = 1 with both sigmas non-residues.
     Parameters (2q, q-1, 2m, 2m-1, 2m).  A q whose 2q vertices exceed
     MAX_VERTICES is refused before anything is built.
     """
     _check_qr_modulus(q)
     m = (q - 1) // 4
     residues = quadratic_residues(q)
+    non_residues = frozenset(range(1, q)) - residues
     for name, sigma in (("sigma1", sigma1), ("sigma2", sigma2)):
-        if sigma % q in residues or sigma % q == 0:
+        if sigma % q not in non_residues:
             raise ValueError(f"non-residue failure: {name} = {sigma} "
                              f"is not a quadratic non-residue mod {q}")
     if sigma1 * sigma2 % q != 1:
         raise ValueError(f"inverse failure: sigma1*sigma2 = "
                          f"{sigma1 * sigma2 % q} != 1 (mod {q})")
     support = frozenset(x % q for x in s_set)
-    if len(support) != 2 * m or 0 in support:
-        raise ValueError(
-            f"s_set must contain {2 * m} nonzero residues, got {sorted(support)}")
-    _check_difference_partition(q, m, support)
+    if support not in (residues, non_residues):
+        raise ValueError(f"S must be the quadratic residues or the "
+                         f"non-residues mod {q}, got {sorted(support)}")
     # entry (i, j) of the residue matrix is 1 iff i - j is a residue; -1 is
     # a residue mod q = 1 (mod 4), so that is the circulant on the residues
     qmat = sigma_circulant(q, _indicator(q, residues), 1)
@@ -256,9 +239,10 @@ def qr_search(q: int) -> list[tuple[int, int, frozenset[int]]]:
     sigma1 runs over the non-residues and sigma2 = sigma1^-1 is one too.
     S is the residues R or the non-residues N (Bridges & Mena, Ars Combin.
     8, 1979; Ma, Des. Codes Cryptogr. 4, 1994).  The difference-partition
-    check counts, for each x != 0, the pairs s - t = x with s in S and t
-    outside S; that count is m exactly when lambda_S(x) = m - [x in S],
-    where lambda_S(x) counts the pairs s - s' = x inside S.  Since
+    property asks that, for each x != 0, the pairs s - t = x with s in S
+    and t outside S number m; that holds exactly when
+    lambda_S(x) = m - [x in S], where lambda_S(x) counts the pairs
+    s - s' = x inside S.  Since
     lambda_S(x) = lambda_S(-x), this forces S = -S.  Then every nontrivial
     character sum of S is a root of z^2 + z - m, so it lies in Q(sqrt q).
     Multiplying by a square fixes sqrt q, so aS = S for every square a,
@@ -283,8 +267,7 @@ def pq_dsrg(qmat: Tournament, p: PermSpec,
     descriptor) followed by ",p=" and P's images.
     """
     check_vertex_cap(2 * qmat.order)
-    a, mu = _regular(qmat, "the symmetric-product construction",
-                     min_valency=1)
+    a, mu = _regular(qmat, "the symmetric-product construction")
     if len(p) != a.n:
         raise ValueError(f"permutation length {len(p)} != order {a.n}")
     if not p.is_involution():

@@ -33,9 +33,7 @@ class GroupTable:
     order: int
     table: tuple[tuple[int, ...], ...]
     identity: int
-    inverse: tuple[int, ...]
     names: tuple[str, ...]
-    abelian: bool
 
     @classmethod
     def from_table(cls, table: Sequence[Sequence[int]],
@@ -67,12 +65,9 @@ class GroupTable:
                         if rows[ab][c] != rows[a][rows[b][c]]:
                             raise ValueError(
                                 f"associativity fails at ({a}, {b}, {c})")
-        inverse = [row.index(identity) for row in rows]
-        abelian = all(rows[a][b] == rows[b][a]
-                      for a in range(n) for b in range(a + 1, n))
         if names is None:
             names = tuple(f"g{i}" for i in range(n))
-        return cls(n, rows, identity, tuple(inverse), tuple(names), abelian)
+        return cls(n, rows, identity, tuple(names))
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)

@@ -466,27 +466,3 @@ def classify(graphs: Iterable[BinMatrix], bound: int = DEFAULT_BOUND
         classes.setdefault(key, (cert, []))[1].append(idx)
     return [classes[key] for key in sorted(classes)]
 
-
-def find_commuting_transposer(a: BinMatrix) -> PermSpec | None:
-    """Permutation p whose matrix P satisfies P*A = A^T = A*P, if any.
-
-    P*A = A^T pins row p(i) of A to column i of A, so column i takes the
-    first unused row equal to it.  The other side needs no check: P*A = A^T
-    transposes to A^T*P^T = A, and P^T = P^-1 gives A*P = A^T (so p is
-    also an automorphism of A).  A greedy O(n^2) pass with no search, so no
-    order bound.
-    """
-    by_row: dict[int, list[int]] = {}
-    for w, row in enumerate(a.rows):
-        by_row.setdefault(row, []).append(w)
-    # rows with equal values are interchangeable, so handing out equal rows
-    # in ascending order finds a bijection whenever one exists and never
-    # needs to backtrack
-    supply = {value: iter(ws) for value, ws in by_row.items()}
-    images = []
-    for value in a.transpose().rows:
-        w = next(supply.get(value, iter(())), None)
-        if w is None:
-            return None
-        images.append(w)
-    return PermSpec(tuple(images))

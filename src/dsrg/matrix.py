@@ -183,16 +183,6 @@ class PermSpec:
     def shift(cls, n: int, s: int) -> "PermSpec":
         return cls(tuple((i + s) % n for i in range(n)))
 
-    @classmethod
-    def block_diag(cls, parts: Sequence["PermSpec"]) -> "PermSpec":
-        """Concatenate permutations acting on consecutive index blocks."""
-        images: list[int] = []
-        offset = 0
-        for p in parts:
-            images.extend(offset + v for v in p.images)
-            offset += len(p)
-        return cls(tuple(images))
-
     def __len__(self) -> int:
         return len(self.images)
 
@@ -204,11 +194,6 @@ class PermSpec:
         for i, v in enumerate(self.images):
             inv[v] = i
         return PermSpec(tuple(inv))
-
-    def compose(self, other: "PermSpec") -> "PermSpec":
-        """Return the permutation i -> self(other(i))."""
-        return PermSpec(tuple(self.images[other.images[i]]
-                              for i in range(len(other.images))))
 
     def is_involution(self) -> bool:
         return all(self.images[v] == i for i, v in enumerate(self.images))

@@ -139,8 +139,44 @@ def test_qr_diagonal_blocks_are_residue_matrix():
 
 
 def test_qr_difference_partition_failure():
-    with pytest.raises(ValueError, match="difference-partition"):
+    with pytest.raises(ValueError, match="S must be the quadratic residues "
+                       r"or the non-residues mod 5, got \[1, 2\]"):
         cons.qr_dsrg(5, 2, 3, {1, 2})
+
+
+def _difference_partition(q, s_set):
+    """Brute-force oracle: every nonzero residue occurs m = (q-1)/4 times
+    among s - t, s in S and t in Z_q* outside S."""
+    m = (q - 1) // 4
+    t_set = [x for x in range(1, q) if x not in s_set]
+    counts = [0] * q
+    for s in s_set:
+        for t in t_set:
+            counts[(s - t) % q] += 1
+    return all(counts[x] == m for x in range(1, q))
+
+
+@pytest.mark.parametrize("q", [13, 17])
+def test_qr_accepts_exactly_the_difference_partition_sets(q):
+    # every 2m-subset of Z_q* (924 at q = 13, 12,870 at q = 17): qr_dsrg
+    # builds R and N and refuses the rest, and those two are exactly the
+    # sets that pass the brute-force count
+    m = (q - 1) // 4
+    residues = cons.quadratic_residues(q)
+    r_and_n = {residues, frozenset(range(1, q)) - residues}
+    sigma1, sigma2, _ = cons.qr_search(q)[0]
+    accepted = set()
+    for combo in itertools.combinations(range(1, q), 2 * m):
+        s_set = frozenset(combo)
+        assert _difference_partition(q, s_set) == (s_set in r_and_n)
+        try:
+            cons.qr_dsrg(q, sigma1, sigma2, s_set)
+        except ValueError as exc:
+            assert str(exc) == (f"S must be the quadratic residues or the "
+                                f"non-residues mod {q}, got {sorted(s_set)}")
+            continue
+        accepted.add(s_set)
+    assert accepted == r_and_n
 
 
 def test_qr_precondition_errors():
@@ -177,18 +213,14 @@ def test_qr_cap_refuses_before_building():
 @pytest.mark.parametrize("q", [5, 13, 17])
 def test_qr_search_order_and_lazy_first_triple(q):
     # every (sigma1, sigma2) pair of non-residues against every support
-    # that passes the difference-partition check, pairs outermost
+    # that passes the brute-force difference count, pairs outermost
     m = (q - 1) // 4
     residues = cons.quadratic_residues(q)
     pairs = [(s1, cons.mod_inverse(s1, q)) for s1 in range(1, q)
              if s1 not in residues and cons.mod_inverse(s1, q) not in residues]
-    supports = []
-    for combo in itertools.combinations(range(1, q), 2 * m):
-        try:
-            cons._check_difference_partition(q, m, frozenset(combo))
-        except ValueError:
-            continue
-        supports.append(frozenset(combo))
+    supports = [frozenset(combo)
+                for combo in itertools.combinations(range(1, q), 2 * m)
+                if _difference_partition(q, frozenset(combo))]
     expected = [(s1, s2, s) for s1, s2 in pairs for s in supports]
     assert cons.qr_search(q) == expected
 
@@ -202,11 +234,8 @@ def test_qr_difference_partition_sets_are_residues_or_non_residues(q):
     passing = set()
     for half in itertools.combinations(range(1, (q + 1) // 2), m):
         s_set = frozenset(half) | frozenset(q - x for x in half)
-        try:
-            cons._check_difference_partition(q, m, s_set)
-        except ValueError:
-            continue
-        passing.add(s_set)
+        if _difference_partition(q, s_set):
+            passing.add(s_set)
     assert passing == {residues, frozenset(range(1, q)) - residues}
 
 
@@ -246,6 +275,15 @@ def test_pq_examples():
         cons.pq_dsrg(PI3, PermSpec.identity(3))
     with pytest.raises(ValueError, match="involution"):
         cons.pq_dsrg(PI3, PermSpec((1, 2, 0)))
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_pq_identity_never_builds(n):
+    # PQ = Q is a tournament of valency >= 1, never symmetric, which is why
+    # `construct pq` offers no identity keyword
+    for t in enumerate_regular_tournaments(n):
+        with pytest.raises(ValueError, match="PQ is not symmetric"):
+            cons.pq_dsrg(t, PermSpec.identity(n))
 
 
 def test_pq_search():
@@ -436,7 +474,7 @@ TRANSITIVE3 = Tournament(BinMatrix.from_strings(["011", "001", "000"]))
     (lambda: cons.m_of(BinMatrix.identity(2)), ValueError,
      "m_of needs a zero diagonal"),
     (lambda: cons.qr_dsrg(5, 2, 3, {1}), ValueError,
-     "s_set must contain 2 nonzero residues, got [1]"),
+     "S must be the quadratic residues or the non-residues mod 5, got [1]"),
     (lambda: cons.pq_dsrg(Z5, PermSpec.reversal(3)), ValueError,
      "permutation length 3 != order 5"),
     (lambda: cons.kronecker_expand(FIXTURE_10, 1), InputError,

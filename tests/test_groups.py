@@ -25,17 +25,22 @@ def groups_isomorphic(g, h):
     return False
 
 
+def is_abelian(g):
+    return all(g.table[a][b] == g.table[b][a]
+               for a in range(g.order) for b in range(g.order))
+
+
 def test_dihedral_3_is_symmetric_3():
     d6 = dihedral_group(3)
     s3 = symmetric_group(3)
-    assert d6.order == 6 and not d6.abelian
+    assert d6.order == 6 and not is_abelian(d6)
     assert groups_isomorphic(d6, s3)
 
 
 def test_cyclic_and_product_abelian():
-    assert cyclic_group(6).abelian
+    assert is_abelian(cyclic_group(6))
     z2z3 = direct_product(cyclic_group(2), cyclic_group(3))
-    assert z2z3.order == 6 and z2z3.abelian
+    assert z2z3.order == 6 and is_abelian(z2z3)
 
 
 def test_group_table_validation():
@@ -82,7 +87,7 @@ def test_dihedral_relations():
     n = 4
     a, b = 1, n  # generators
     # b a b = a^-1
-    assert d.table[d.table[b][a]][b] == d.inverse[a]
+    assert d.table[d.table[b][a]][b] == d.table[a].index(d.identity)
     assert d.table[b][b] == d.identity
     assert d.names[:4] == ("e", "a", "a2", "a3")
     assert d.names[4:6] == ("b", "ba")
@@ -190,7 +195,7 @@ def test_abelian_groups_up_to_12():
     # 1,1,1,2,1,1,1,3,2,1,1,2 classes for orders 1..12
     assert len(groups) == 17
     assert "Z2xZ2" in names and "Z2xZ2xZ2" in names and "Z2xZ4" in names
-    assert all(g.abelian for _, g in groups)
+    assert all(is_abelian(g) for _, g in groups)
 
 
 def test_jorgensen_no_abelian_genuine_dsrgs():

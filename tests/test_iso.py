@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from dsrg import (BinMatrix, PermSpec, are_isomorphic, canonical_form,
                   circulant_tournament, classify, conjugate_by_perm,
                   cycle_power, enumerate_regular_tournaments,
-                  find_commuting_transposer, paley_tournament)
+                  paley_tournament)
 from dsrg import constructions as cons
 from dsrg import iso
 from dsrg.cli import all_construction_results
+from transposers import block_diag, find_commuting_transposer
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -229,7 +230,7 @@ def test_commuting_transposer_matches_brute_force_up_to_order_4():
 
 
 def _lift_identity_p(n, p):
-    return PermSpec.block_diag([PermSpec.identity(n), p.inverse()])
+    return block_diag([PermSpec.identity(n), p.inverse()])
 
 
 def test_paired_constructions_isomorphic_via_block_witness():
@@ -250,7 +251,7 @@ def test_wide_tall_isomorphic_via_alternating_witness():
         p = find_commuting_transposer(t.adj)
         parts = [PermSpec.identity(3) if i % 2 == 0 else p.inverse()
                  for i in range(2 * w)]
-        witness = PermSpec.block_diag(parts)
+        witness = block_diag(parts)
         wide = cons.wide_blocks(t, w).adj
         tall = cons.tall_blocks(t, w).adj
         assert conjugate_by_perm(wide, witness) == tall

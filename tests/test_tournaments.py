@@ -105,7 +105,7 @@ def test_cycle_sum_families():
 
 def test_cycle_sum_family_has_commuting_transposer():
     # the odd-exponent set's rows all reappear as columns
-    from dsrg import find_commuting_transposer
+    from transposers import find_commuting_transposer
     t = circulant_tournament(7, {1, 3, 5})
     assert find_commuting_transposer(t.adj) is not None
 
