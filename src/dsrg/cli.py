@@ -298,6 +298,9 @@ def all_construction_results(max_n: int,
     kron(duval_B(T), w, left), tall(T, w), lem6, lem5, pq, taking T as
     built (parsing enum:N:I enumerates order N again); then lem7, qr,
     cayley and Hobart-Shaw, replayed by construct from their header inputs.
+    qr is tried only for q in (5, 13, 17), so from max_n = 58 on the
+    primes q = 29, 37 and 41 are skipped, and no route builds (58, 28, 14,
+    13, 14), (74, 36, 18, 17, 18) or (82, 40, 20, 19, 20) into catalog 96.
 
     A construction that rejects its input is recorded in ``failures``
     (when given) as ``METHOD(DESCRIPTOR): reason``, which ``dsrg construct
@@ -380,21 +383,28 @@ def format_catalog(entries: Sequence[CatalogEntry]) -> str:
 def read_catalog(path: str | Path) -> list[CatalogEntry]:
     """Load a catalog file, re-verifying every entry against its header.
 
-    Records are separated by blank lines; the last one needs none.
+    Records are separated by blank lines; the last one needs none.  A
+    record that does not parse, or whose matrix is not a DSRG, is refused
+    with its header's line number.
     """
     text = Path(path).read_text(encoding="ascii")
     entries = []
     block: list[str] = []
-    for line in text.split("\n") + [""]:
+    for number, line in enumerate(text.split("\n") + [""], 1):
         if line:
             block.append(line)
             continue
         if not block:
             continue
-        method, descriptor, n, k, t, lam, mu, cert_hash = block[0].split(" ")
-        adj = BinMatrix.from_strings(block[1:])
-        params = verify_dsrg(adj)
-        expected = DsrgParams(int(n), int(k), int(t), int(lam), int(mu))
+        try:
+            method, descriptor, n, k, t, lam, mu, cert_hash = \
+                block[0].split(" ")
+            expected = DsrgParams(int(n), int(k), int(t), int(lam), int(mu))
+            adj = BinMatrix.from_strings(block[1:])
+            params = verify_dsrg(adj)
+        except (ValueError, NotDsrg) as exc:
+            raise ValueError(f"catalog record at line "
+                             f"{number - len(block)}: {exc}") from exc
         if params != expected:
             raise ValueError(f"catalog entry {block[0]!r} re-verifies as {params}")
         recomputed = canonical_form(adj, adj.n).cert_hash

@@ -1,8 +1,10 @@
 """Finite groups as multiplication tables, and their Cayley digraphs.
 
-Groups are stored as explicit order x order index tables (verified: Latin
-square, identity, associativity), which keeps everything at desk scale and
-totally checkable.  The Cayley digraph of a connection set S puts an arc
+Groups are stored as explicit order x order index tables with the identity
+as element 0, built by the cyclic, dihedral, symmetric and direct-product
+constructors and not re-verified: every Cayley graph is checked where it is
+used (cayley_dsrg verifies it, cayley_criteria cross-checks against that
+verification).  The Cayley digraph of a connection set S puts an arc
 x -> y whenever x*s = y for some s in S (right multiplication).  A subset
 criterion reads the strongly regular parameters straight off the multiset
 of pairwise products of S; dihedral groups carry two explicit subset
@@ -14,60 +16,28 @@ the brute-force baseline.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator
 
 from .constructions import ConstructionResult, _result, check_vertex_cap
 from .matrix import (BinMatrix, BoundExceeded, InputError, _indicator,
                      block_compose, sigma_circulant)
-from .params import DsrgParams, try_verify_dsrg
+from .params import DsrgParams, NotDsrg, try_verify_dsrg, verify_dsrg
 
 SCAN_BOUND = 16
-_ASSOCIATIVITY_CHECK_LIMIT = 64
 
 
 @dataclass(frozen=True)
 class GroupTable:
-    """Finite group: table[i][j] is the index of g_i * g_j."""
+    """Finite group: table[i][j] is the index of g_i * g_j, and element 0
+    is the identity.  Every table is built by the constructors below."""
 
-    order: int
     table: tuple[tuple[int, ...], ...]
-    identity: int
     names: tuple[str, ...]
 
-    @classmethod
-    def from_table(cls, table: Sequence[Sequence[int]],
-                   names: Sequence[str] | None = None) -> "GroupTable":
-        """Group whose table[a][b] is the index of a*b.  The table must be
-        a Latin square with a two-sided identity; one of more than 64
-        elements skips the O(n^3) associativity check."""
-        n = len(table)
-        rows = tuple(tuple(row) for row in table)
-        if any(len(row) != n for row in rows):
-            raise ValueError("multiplication table must be square")
-        indices = list(range(n))
-        for i, row in enumerate(rows):
-            if sorted(row) != indices:
-                raise ValueError(f"row {i} is not a permutation of 0..{n - 1}")
-        for j in range(n):
-            if sorted(rows[i][j] for i in range(n)) != indices:
-                raise ValueError(f"column {j} is not a permutation of 0..{n - 1}")
-        identity = next((e for e in range(n)
-                         if all(rows[e][x] == x and rows[x][e] == x
-                                for x in range(n))), None)
-        if identity is None:
-            raise ValueError("no two-sided identity element")
-        if n <= _ASSOCIATIVITY_CHECK_LIMIT:
-            for a in range(n):
-                for b in range(n):
-                    ab = rows[a][b]
-                    for c in range(n):
-                        if rows[ab][c] != rows[a][rows[b][c]]:
-                            raise ValueError(
-                                f"associativity fails at ({a}, {b}, {c})")
-        if names is None:
-            names = tuple(f"g{i}" for i in range(n))
-        return cls(n, rows, identity, tuple(names))
+    @property
+    def order(self) -> int:
+        return len(self.table)
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)
@@ -77,9 +47,10 @@ def cyclic_group(n: int) -> GroupTable:
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     check_vertex_cap(n)
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    names = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, n)]
-    return GroupTable.from_table(table, names[:n])
+    elements = tuple(range(n))
+    names = ("e",) + tuple(f"a{i}" if i > 1 else "a" for i in range(1, n))
+    return GroupTable(tuple(elements[i:] + elements[:i] for i in range(n)),
+                      names)
 
 
 def dihedral_group(n: int) -> GroupTable:
@@ -101,7 +72,7 @@ def dihedral_group(n: int) -> GroupTable:
             table[n + i][n + j] = (j - i) % n            # (b a^i)(b a^j)
     names = ["e"] + [f"a{i}" if i > 1 else "a" for i in range(1, n)]
     names += ["b"] + [f"ba{i}" if i > 1 else "ba" for i in range(1, n)]
-    return GroupTable.from_table(table, names)
+    return GroupTable(tuple(map(tuple, table)), tuple(names))
 
 
 def _cycle_notation(perm: tuple[int, ...]) -> str:
@@ -129,19 +100,18 @@ def symmetric_group(n: int) -> GroupTable:
         raise ValueError(f"symmetric groups are built for 1 <= n <= 5, got {n}")
     elements = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(elements)}
-    table = [[index[tuple(x[y[i]] for i in range(n))] for y in elements]
-             for x in elements]
-    names = [_cycle_notation(p) for p in elements]
-    return GroupTable.from_table(table, names)
+    table = tuple(tuple(index[tuple(x[y[i]] for i in range(n))]
+                        for y in elements) for x in elements)
+    return GroupTable(table, tuple(map(_cycle_notation, elements)))
 
 
 def direct_product(g: GroupTable, h: GroupTable) -> GroupTable:
     pairs = [(a, b) for a in range(g.order) for b in range(h.order)]
     index = {p: i for i, p in enumerate(pairs)}
-    table = [[index[(g.table[a1][a2], h.table[b1][b2])]
-              for (a2, b2) in pairs] for (a1, b1) in pairs]
-    names = [f"({g.names[a]},{h.names[b]})" for (a, b) in pairs]
-    return GroupTable.from_table(table, names)
+    table = tuple(tuple(index[(g.table[a1][a2], h.table[b1][b2])]
+                        for (a2, b2) in pairs) for (a1, b1) in pairs)
+    names = tuple(f"({g.names[a]},{h.names[b]})" for (a, b) in pairs)
+    return GroupTable(table, names)
 
 
 def _partitions(n: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -192,10 +162,10 @@ class CayleySpec:
     """A group together with a connection set of non-identity elements."""
 
     group: GroupTable
-    conn: frozenset[int] = field(default_factory=frozenset)
+    conn: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.group.identity in self.conn:
+        if 0 in self.conn:
             raise InputError("the identity cannot be in a connection set")
         if any(not 0 <= s < self.group.order for s in self.conn):
             raise InputError("connection set indices out of range")
@@ -226,11 +196,10 @@ def cayley_criteria(spec: CayleySpec) -> DsrgParams | None:
         for s2 in conn:
             counts[row[s2]] += 1
     lam = {counts[x] for x in spec.conn}
-    mu = {counts[x] for x in range(g.order)
-          if x != g.identity and x not in spec.conn}
+    mu = {counts[x] for x in range(1, g.order) if x not in spec.conn}
     if len(lam) > 1 or len(mu) > 1:
         return None
-    params = DsrgParams(g.order, len(conn), counts[g.identity],
+    params = DsrgParams(g.order, len(conn), counts[0],
                         max(lam, default=0), max(mu, default=0))
     verified = try_verify_dsrg(cayley_graph(spec))
     if verified != params:
@@ -243,11 +212,13 @@ def cayley_dsrg(spec: CayleySpec, label: str | None = None) -> ConstructionResul
     """A genuine Cayley DSRG (0 < t < k) as a verified construction result.
 
     The descriptor is the label (the group's descriptor) followed by
-    ",S={...}", the set's element names in index order."""
+    ",S={...}", the set's element names in index order.  A graph that
+    fails verification is refused with the violated constraint."""
     adj = cayley_graph(spec)
-    params = try_verify_dsrg(adj)
-    if params is None:
-        raise ValueError("the connection set does not satisfy the product criteria")
+    try:
+        params = verify_dsrg(adj)
+    except NotDsrg as exc:
+        raise ValueError(f"the Cayley graph is not a DSRG: {exc}") from exc
     if not params.is_genuine:
         raise ValueError(f"not a genuine DSRG: {params} {params.classification}")
     names = ",".join(spec.group.names[s] for s in sorted(spec.conn))
@@ -310,7 +281,7 @@ def cayley_subset_scan(g: GroupTable
     order (so output order is reproducible) and kept when the product
     criteria succeed with 0 < t < k.  Refuses orders above SCAN_BOUND."""
     _check_scan_bound(g.order)
-    non_identity = [x for x in range(g.order) if x != g.identity]
+    non_identity = range(1, g.order)
     found: list[tuple[frozenset[int], DsrgParams]] = []
     for mask in range(1, 1 << len(non_identity)):
         conn = frozenset(x for b, x in enumerate(non_identity)

@@ -376,6 +376,15 @@ def test_construct_cayley_refuses_non_genuine(desc, message, capsys):
         "", f"error: not a genuine DSRG: {message}\n")
 
 
+def test_construct_cayley_names_the_failed_constraint(capsys):
+    # the directed 6-cycle fails verification, and the refusal quotes the
+    # violated constraint and its position
+    assert main(["construct", "cayley", "cyclic:6,S={a}"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: the Cayley graph is not a DSRG: mu-constancy at (0, 3): "
+            "non-adjacent pair has 0 paths, expected 1\n")
+
+
 def test_every_catalog_input_replays():
     # every result of the sweep at 96 rebuilds from its printed method
     # and descriptor, matrix byte for byte
@@ -766,7 +775,7 @@ def test_vertex_cap_refuses_before_building(tmp_path, capsys):
             mock.patch.object(cons, "kronecker", **never), \
             mock.patch.object(grp, "sigma_circulant", **never), \
             mock.patch.object(grp, "block_compose", **never), \
-            mock.patch.object(grp.GroupTable, "from_table", **never), \
+            mock.patch.object(grp, "GroupTable", **never), \
             mock.patch.object(cli, "Tournament", **never):
         for argv, n in ((["lem6", "standard:505"], 2024),
                         (["lem6", "standard:2019"], 2019),
@@ -792,7 +801,7 @@ def test_scan_bound_refuses_before_building(capsys):
     # the scan bound before any group table is built, so dihedral:2000 meets
     # the scan bound rather than the vertex cap
     from dsrg import groups as grp
-    with mock.patch.object(grp.GroupTable, "from_table",
+    with mock.patch.object(grp, "GroupTable",
                            side_effect=AssertionError("built")):
         for group, order in (("cyclic:17", 17), ("cyclic:2000", 2000),
                              ("dihedral:9", 18), ("dihedral:1000", 2000),
@@ -863,6 +872,30 @@ def test_catalog_header_must_match_its_matrix(tmp_path):
     with pytest.raises(ValueError, match="re-verifies as 6 2 1 0 1") as info:
         read_catalog(path)
     assert info.type is ValueError
+
+
+@pytest.mark.parametrize("old, new, reason", [
+    (" 59e4ebe8ac4fddd6\n", "\n",
+     "not enough values to unpack (expected 8, got 7)"),
+    ("\n010110\n001101\n100011\n110010\n101001\n011100\n", "\n",
+     "order must be positive, got 0"),
+    (" 6 3 2 1 2 ", " 6 3 two 1 2 ",
+     "invalid literal for int() with base 10: 'two'"),
+    ("\n001101\n", "\n0011\n", "row 1 has length 4, expected 6"),
+    ("\n001101\n", "\n001110\n",
+     "column-sum at (4, 4): column 4 sums to 4, expected 3"),
+], ids=["seven-fields", "no-rows", "non-integer", "short-row", "not-a-dsrg"])
+def test_read_catalog_names_the_malformed_record(tmp_path, old, new, reason):
+    # the second record's header is line 9
+    text = format_catalog(build_catalog(8))
+    assert text.split("\n")[8].startswith("hobart_shaw lam=1,odd ")
+    assert text.count(old) == 1
+    path = tmp_path / "catalog.txt"
+    path.write_text(text.replace(old, new), encoding="ascii")
+    with pytest.raises(ValueError) as info:
+        read_catalog(path)
+    assert info.type is ValueError
+    assert str(info.value) == f"catalog record at line 9: {reason}"
 
 
 def test_format_catalog_refuses_whitespace_in_a_field():

@@ -501,7 +501,7 @@ def test_builders_refuse_above_the_vertex_cap():
             mock.patch.object(cons, "kronecker", **never), \
             mock.patch.object(cons, "sigma_circulant", **never), \
             mock.patch.object(groups, "sigma_circulant", **never), \
-            mock.patch.object(groups.GroupTable, "from_table", **never):
+            mock.patch.object(groups, "GroupTable", **never):
         for call, n in ((lambda: cons.wide_blocks(Z5, 202), 2020),
                         (lambda: cons.tall_blocks(Z5, 202), 2020),
                         (lambda: cons.cycle_sum_dsrg(504), 2020),

@@ -4,6 +4,7 @@ edit these lists, so it shows in the diff."""
 
 import argparse
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -194,3 +195,28 @@ def test_unreferenced_public_names_are_allowlisted():
 def test_bound_exceeded_is_one_class():
     assert dsrg.BoundExceeded is dsrg.iso.BoundExceeded is \
         dsrg.matrix.BoundExceeded
+
+
+def test_readme_references_resolve():
+    # every backticked module.NAME in README.md (optionally dsrg.module.NAME;
+    # cons and grp are the examples' aliases) and every backticked
+    # Class.attr of an exported class names an attribute that exists
+    modules = {path.stem for path in (ROOT / "src" / "dsrg").glob("*.py")}
+    aliases = {"cons": "constructions", "grp": "groups"}
+    readme = (ROOT / "README.md").read_text()
+    checked, missing = [], []
+    for owner, attr in re.findall(
+            r"`(?:dsrg\.)?([A-Za-z_]\w*)\.([A-Za-z_]\w*)`", readme):
+        name = aliases.get(owner, owner)
+        if name in modules:
+            target = importlib.import_module(f"dsrg.{name}")
+        elif name in dsrg.__all__ and inspect.isclass(getattr(dsrg, name)):
+            target = getattr(dsrg, name)
+        else:
+            continue
+        checked.append(f"{owner}.{attr}")
+        if not (hasattr(target, attr) or
+                attr in getattr(target, "__dataclass_fields__", {})):
+            missing.append(f"{owner}.{attr}")
+    assert "constructions.MAX_VERTICES" in checked
+    assert missing == []
