@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import os
 import re
 import shlex
@@ -14,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsrg import (BinMatrix, duval_feasible, enumerate_feasible, read_adj,
-                  write_adj)
+from dsrg import (BinMatrix, DsrgParams, duval_feasible, enumerate_feasible,
+                  read_adj, write_adj)
 from dsrg.adjio import AdjFormatError, format_adj, parse_adj
 from dsrg.cli import (CATALOG_MAX_N, FEASIBLE_MAX_N, build_catalog,
                       build_parser, format_catalog, main, read_catalog)
+from dsrg.params import iter_feasible
 from known_graphs import FIXTURE_8
 
 
@@ -538,16 +541,32 @@ def test_feasible_output():
 
 
 def test_feasible_prints_as_it_scans(capsys):
-    # each tuple is printed before the scan goes on to the next one
-    first = enumerate_feasible(6)[0]
-
+    # each order's batch is written before the scan goes on to the next one
     def scan(max_n):
-        yield first
+        yield 6, [(2, 1, 0, 1), (3, 2, 1, 2)]
         raise RuntimeError("scan interrupted")
-    with mock.patch("dsrg.cli.iter_feasible", scan), \
+    with mock.patch("dsrg.cli._feasible_batches", scan), \
             pytest.raises(RuntimeError):
         main(["feasible", "6"])
-    assert capsys.readouterr().out == f"{first}\n"
+    assert capsys.readouterr().out == "6 2 1 0 1\n6 3 2 1 2\n"
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 150))
+def test_feasible_command_matches_iter_feasible(max_n):
+    # the command and the library read one scan
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["feasible", str(max_n)]) == 0
+    assert out.getvalue() == "".join(f"{p}\n" for p in iter_feasible(max_n))
+
+
+def test_feasible_command_builds_no_params(capsys):
+    # the command writes plain tuples; no DsrgParams is built on its path
+    with mock.patch.object(DsrgParams, "__post_init__",
+                           side_effect=AssertionError("DsrgParams built")):
+        assert main(["feasible", "60"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 680
 
 
 def test_feasible_empty():
@@ -611,9 +630,11 @@ def test_feasible_200_golden_digest():
     (300, 19093,
      "e93e075bf5342f064c54073c3bd9b15d2a15f1be929313368d4ce6ae5a3ea998"),
     (500, 50895,
-     "82c5655b79406560ce9eb3278da782437803fb06200320b56526846c2509e984")])
+     "82c5655b79406560ce9eb3278da782437803fb06200320b56526846c2509e984"),
+    (FEASIBLE_MAX_N, 191210,
+     "4c2b767e6bdde95d7d2bfeaed092d6369e52a71aaae7183b528a0d29d9460089")])
 def test_feasible_golden_digests(max_n, lines, digest):
-    # pins every tuple of the feasibility tables up to 300 and 500
+    # pins every tuple of the feasibility tables up to 300, 500 and the cap
     code, stdout, _ = run_cli("feasible", str(max_n))
     assert code == 0
     assert len(stdout.splitlines()) == lines
