@@ -10,6 +10,7 @@ flag-driven; no environment variables are read.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -43,6 +44,13 @@ FEASIBLE_MAX_N = 1000
 CATALOG_MAX_N = 300
 
 
+# the classes of each order, enumerated once per process: the catalog parses
+# every enum:N:I it builds over; a refused order raises and is not kept
+@functools.cache
+def _classes(n: int) -> list[Tournament]:
+    return enumerate_regular_tournaments(n)
+
+
 def parse_tournament(desc: str) -> Tournament:
     """Tournament descriptors: circulant:N:e1,e2  standard:N  paley:Q
     enum:N:I (class I of enumerate_regular_tournaments(N))  adj:PATH.
@@ -70,7 +78,7 @@ def parse_tournament(desc: str) -> Tournament:
         if kind == "paley":
             return paley_tournament(n)
         i = int(tail)
-        classes = enumerate_regular_tournaments(n)
+        classes = _classes(n)
         if not 0 <= i < len(classes):
             raise ValueError(f"no class {i} among the {len(classes)} of order {n}")
         return classes[i]
@@ -117,11 +125,6 @@ def parse_group(desc: str, scan: bool = False) -> grp.GroupTable:
 # -- construct: one table row per catalog method tag ------------------------
 
 
-def _on_t(name: str):
-    """cons.<name>(T, T's descriptor), looked up when called."""
-    return lambda desc: getattr(cons, name)(parse_tournament(desc), desc)
-
-
 def _pq(t_desc: str, images: str) -> cons.ConstructionResult:
     t = parse_tournament(t_desc)
     return cons.pq_dsrg(t, parse_perm(images, t.order), t_desc)
@@ -163,15 +166,17 @@ def _cayley(group_desc: str, names: str) -> cons.ConstructionResult:
 # catalog method tag -> (grammar of the input the catalog prints after it, as
 # a pattern that re compiles on first use, builder of the pattern's groups)
 METHODS: dict[str, tuple[str, str, Callable[..., cons.ConstructionResult]]] = {
-    "duval_B": ("T", "(.*)", _on_t("duval_b")),
-    "duval_C": ("T", "(.*)", _on_t("duval_c")),
-    "m_of": ("T", "(.*)", _on_t("m_construction")),
+    "duval_B": ("T", "(.*)", lambda t: cons.duval_b(parse_tournament(t), t)),
+    "duval_C": ("T", "(.*)", lambda t: cons.duval_c(parse_tournament(t), t)),
+    "m_of": ("T", "(.*)", lambda t: cons.m_construction(
+        parse_tournament(t), t)),
     "wide": ("T,w=W", r"(.+),w=(-?\d+)", lambda t, w: cons.wide_blocks(
         parse_tournament(t), int(w), t)),
     "tall": ("T,w=W", r"(.+),w=(-?\d+)", lambda t, w: cons.tall_blocks(
         parse_tournament(t), int(w), t)),
-    "lem5": ("T", "(.*)", _on_t("team_dsrg")),
-    "lem6": ("T", "(.*)", _on_t("bordered_team_dsrg")),
+    "lem5": ("T", "(.*)", lambda t: cons.team_dsrg(parse_tournament(t), t)),
+    "lem6": ("T", "(.*)", lambda t: cons.bordered_team_dsrg(
+        parse_tournament(t), t)),
     "lem7": ("s=S", r"s=(-?\d+)", lambda s: cons.cycle_sum_dsrg(int(s))),
     "qr": ("q=Q or q=Q,sigma1=A,sigma2=B,S={r1,r2,...}",
            r"q=(-?\d+)(?:,sigma1=(-?\d+),sigma2=(-?\d+),"
@@ -239,6 +244,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_tournaments(args: argparse.Namespace) -> int:
+    # not _classes: each call enumerates, which bench's tournaments workload
+    # times by calling main repeatedly in one process
     reps = enumerate_regular_tournaments(args.n)
     print(f"order={args.n} classes={len(reps)}")
     for t in reps:
@@ -275,82 +282,72 @@ class CatalogEntry(cons.ConstructionResult):
     cert_hash: str
 
 
-def _tournament_sources(max_n: int) -> Iterator[tuple[Tournament, str]]:
-    """Each regular tournament of an order N whose smallest graph (2N
-    vertices) fits in max_n, with its descriptor: every class up to order 7
-    (enum:N:I), then standard:N and, for a prime N = 3 (mod 4), paley:N.
-    Orders stop at 17 whatever max_n is, so no route builds (38, 18, 9, 8,
-    9), (42, 20, 10, 9, 10) or (46, 22, 11, 10, 11) into catalog 48."""
+def _tournament_sources(max_n: int) -> Iterator[str]:
+    """The descriptor of each regular tournament of an order N up to 17 whose
+    smallest graph (2N vertices) fits in max_n: every class up to order 7
+    (enum:N:I), then standard:N and, for a prime N = 3 (mod 4), paley:N."""
     for order in range(3, min(17, max_n // 2) + 1, 2):
         if order <= 7:
-            for i, t in enumerate(enumerate_regular_tournaments(order)):
-                yield t, f"enum:{order}:{i}"
-            continue
-        kinds = ["standard"] + ["paley"] * (is_prime(order) and order % 4 == 3)
-        for label in [f"{kind}:{order}" for kind in kinds]:
-            yield parse_tournament(label), label
+            yield from (f"enum:{order}:{i}" for i in range(len(_classes(order))))
+        else:
+            yield f"standard:{order}"
+            if is_prime(order) and order % 4 == 3:
+                yield f"paley:{order}"
+
+
+def catalog_inputs(max_n: int) -> Iterator[tuple[str, str]]:
+    """The (method, descriptor) of every catalog route up to max_n vertices,
+    in the sweep's order: over each source tournament T duval_B, duval_C,
+    m_of, then per w the wide pattern as kron(duval_B(T), w, left) and
+    tall(T, w), then lem6, lem5 (T doubly regular) and pq (T's first
+    involution); then lem7, qr, cayley and Hobart-Shaw."""
+    for label in _tournament_sources(max_n):
+        t = parse_tournament(label)
+        yield from (("duval_B", label), ("duval_C", label), ("m_of", label))
+        for w in range(2, max_n // (2 * t.order) + 1):
+            # J_w x duval_B(T) is wide_blocks(T, w); duval_B(T) x J_w relabels it
+            yield "kron", f"duval_B({label}),m={w},left"
+            yield "tall", f"{label},w={w}"
+        if 4 * (t.order + 1) <= max_n:
+            yield "lem6", label
+            if is_doubly_regular_tournament(t) is not None:
+                yield "lem5", label
+        if t.order <= cons.PQ_SEARCH_BOUND:
+            for p in cons.pq_search(t)[:1]:
+                yield "pq", f"{label},p={','.join(map(str, p.images))}"
+    yield from (("lem7", f"s={s}") for s in range(1, (max_n - 4) // 4 + 1))
+    yield from (("qr", f"q={q}") for q in (5, 13, 17) if 2 * q <= max_n)
+    if 6 <= max_n:
+        yield "cayley", "symmetric:3,S={(12),(123)}"
+    for lam in range(2, max_n // 4 + 1):
+        yield "hobart_shaw", f"lam={lam},even"
+    for lam in range(1, (max_n - 2) // 4 + 1):
+        yield "hobart_shaw", f"lam={lam},odd"
 
 
 def all_construction_results(max_n: int,
                              failures: list[str] | None = None
                              ) -> list[cons.ConstructionResult]:
-    """Run every construction over its enumerable inputs up to max_n
-    vertices, in a fixed order, one route per graph: over each source
-    tournament T duval_B, duval_C, m_of, the wide pattern as
-    kron(duval_B(T), w, left), tall(T, w), lem6, lem5, pq, taking T as
-    built (parsing enum:N:I enumerates order N again); then lem7, qr,
-    cayley and Hobart-Shaw, replayed by construct from their header inputs.
-    qr is tried only for q in (5, 13, 17), so from max_n = 58 on the
-    primes q = 29, 37 and 41 are skipped, and no route builds (58, 28, 14,
-    13, 14), (74, 36, 18, 17, 18) or (82, 40, 20, 19, 20) into catalog 96.
+    """construct(method, desc) for each input of catalog_inputs(max_n), in
+    its order, one route per graph.  The sources stop at order 17 whatever
+    max_n is, so no route builds (38, 18, 9, 8, 9), (42, 20, 10, 9, 10) or
+    (46, 22, 11, 10, 11) into catalog 48.  qr is tried only for q in (5,
+    13, 17), so from max_n = 58 on the primes q = 29, 37 and 41 are skipped,
+    and no route builds (58, 28, 14, 13, 14), (74, 36, 18, 17, 18) or (82,
+    40, 20, 19, 20) into catalog 96.
 
     A construction that rejects its input is recorded in ``failures``
     (when given) as ``METHOD(DESCRIPTOR): reason``, which ``dsrg construct
     METHOD DESCRIPTOR`` reruns, instead of aborting the run.
     """
     results: list[cons.ConstructionResult] = []
-
-    def attempt(method: str, desc: str, build=None, *args):
+    for method, desc in catalog_inputs(max_n):
         try:
-            result = construct(method, desc) if build is None else build(*args)
+            results.append(construct(method, desc))
         except ValueError as exc:
             if failures is None:
                 raise
             failures.append(f"{method}({desc}): {exc}")
-            return None
-        results.append(result)
-        return result
-
-    for t, label in _tournament_sources(max_n):
-        base = attempt("duval_B", label, cons.duval_b, t, label)
-        attempt("duval_C", label, cons.duval_c, t, label)
-        attempt("m_of", label, cons.m_construction, t, label)
-        for w in range(2, max_n // (2 * t.order) + 1):
-            # J_w x base is wide_blocks(T, w); base x J_w relabels it
-            if base is not None:
-                attempt("kron", f"duval_B({label}),m={w},left",
-                        cons.kronecker_expand, base.adj, w, "left",
-                        f"duval_B({label})")
-            attempt("tall", f"{label},w={w}", cons.tall_blocks, t, w, label)
-        if 4 * (t.order + 1) <= max_n:
-            attempt("lem6", label, cons.bordered_team_dsrg, t, label)
-            if is_doubly_regular_tournament(t) is not None:
-                attempt("lem5", label, cons.team_dsrg, t, label)
-        if t.order <= cons.PQ_SEARCH_BOUND:
-            for p in cons.pq_search(t)[:1]:
-                attempt("pq", f"{label},p={','.join(map(str, p.images))}",
-                        cons.pq_dsrg, t, p, label)
-    for s in range(1, (max_n - 4) // 4 + 1):
-        attempt("lem7", f"s={s}")
-    for q in (5, 13, 17):
-        if 2 * q <= max_n:
-            attempt("qr", f"q={q}")
-    if 6 <= max_n:
-        attempt("cayley", "symmetric:3,S={(12),(123)}")
-    for lam in range(2, max_n // 4 + 1):
-        attempt("hobart_shaw", f"lam={lam},even")
-    for lam in range(1, (max_n - 2) // 4 + 1):
-        attempt("hobart_shaw", f"lam={lam},odd")
     return results
 
 

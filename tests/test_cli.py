@@ -944,17 +944,6 @@ def test_catalog_golden_digest(max_n, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_duval_b_built_once_per_tournament():
-    # the duval_B result is also the base of the kron expansions
-    from dsrg import constructions as cons
-    from dsrg.cli import all_construction_results
-    with mock.patch.object(cons, "duval_b", wraps=cons.duval_b) as spy:
-        results = all_construction_results(20)
-    built = [r for r in results if r.method == "duval_B"]
-    assert spy.call_count == len(built) > 0
-    assert any(r.method == "kron" for r in results)
-
-
 def test_wide_pattern_built_once():
     # wide(T, w) and kron(duval_B(T), w, right) would rebuild
     # kron(duval_B(T), w, left), exactly or up to relabelling
@@ -967,14 +956,45 @@ def test_wide_pattern_built_once():
 
 def test_double_regularity_tested_once_per_source():
     # the sources of order 3 (mod 4) at 48: enum:3:0, the three of enum:7,
-    # standard:11 and paley:11; three are doubly regular and build lem5
-    from dsrg import tournaments
-    from dsrg.cli import all_construction_results
+    # standard:11 and paley:11; three are doubly regular and yield lem5.
+    # A cached enum tournament keeps its answer, so the cache starts empty
+    from dsrg import cli, tournaments
+    cli._classes.cache_clear()
     with mock.patch.object(tournaments, "try_verify_dsrg",
                            wraps=tournaments.try_verify_dsrg) as spy:
-        results = all_construction_results(48)
+        inputs = list(cli.catalog_inputs(48))
     assert spy.call_count == 6
-    assert sum(r.method == "lem5" for r in results) == 3
+    assert sum(method == "lem5" for method, _ in inputs) == 3
+
+
+def test_enum_parse_enumerates_each_order_once(capsys):
+    # parse_tournament keeps each order's classes; dsrg tournaments does not
+    from dsrg import cli
+    from dsrg.tournaments import enumerate_regular_tournaments
+    cli._classes.cache_clear()
+    with mock.patch.object(cli, "enumerate_regular_tournaments",
+                           wraps=enumerate_regular_tournaments) as spy:
+        parsed = [cli.parse_tournament(desc)
+                  for desc in ("enum:7:0", "enum:7:2", "enum:9:3")]
+        assert [call.args for call in spy.call_args_list] == [(7,), (9,)]
+        assert [t.adj for t in parsed] == [
+            enumerate_regular_tournaments(n)[i].adj
+            for n, i in ((7, 0), (7, 2), (9, 3))]
+        spy.reset_mock()
+        assert main(["tournaments", "--n", "7"]) == 0
+        assert main(["tournaments", "--n", "7"]) == 0
+        assert spy.call_count == 2
+    capsys.readouterr()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 96))
+def test_catalog_inputs_build_within_max_n(max_n):
+    # build_catalog classifies the results with bound max_n, which must
+    # never refuse
+    from dsrg.cli import catalog_inputs, construct
+    for method, desc in catalog_inputs(max_n):
+        assert construct(method, desc).adj.n <= max_n, (method, desc)
 
 
 def _failing_lem6(t, label=None):
@@ -1017,6 +1037,20 @@ def test_every_failure_line_reruns(module, builder, capsys):
             assert match, line
             assert main(["construct", *match.groups()]) == 1, line
             assert capsys.readouterr() == ("", "error: no layout\n"), line
+
+
+def test_failing_kron_base_fails_every_kron_input():
+    # each kron input rebuilds its duval_B base, so a failing duval_B takes
+    # them along; test_every_failure_line_reruns reruns each such line
+    from dsrg import constructions as cons
+    from dsrg.cli import all_construction_results, catalog_inputs
+    failures = []
+    with mock.patch.object(cons, "duval_b", _no_layout):
+        all_construction_results(20, failures)
+    assert failures == [f"{method}({desc}): no layout"
+                        for method, desc in catalog_inputs(20)
+                        if method in ("duval_B", "kron")]
+    assert any(line.startswith("kron(") for line in failures)
 
 
 def test_catalog_failure_propagates_without_a_list():
