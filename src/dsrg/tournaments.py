@@ -7,12 +7,8 @@ regular tournaments (each out-neighborhood spans a regular tournament,
 order 4*lam+3) feed the team-tournament constructions.  This module
 builds circulant and quadratic-residue tournaments, certifies the defining
 properties, assembles the bordered two-team layout, and enumerates
-regular tournaments up to isomorphism through order ENUMERATION_LIMIT (11).
-The enumeration fixes vertex 0's out- and in-neighbourhoods to
-one representative per class of half-order tournaments and fills in the
-cross arcs between them up to the representatives' automorphisms, so it
-yields few more candidates than there are classes, which are then keyed
-by canonical form.
+regular tournaments up to isomorphism through order ENUMERATION_LIMIT (11)
+from few more labeled candidates than there are classes.
 """
 
 from __future__ import annotations
@@ -24,9 +20,9 @@ from typing import Iterable, Iterator, Sequence
 
 from . import iso
 # mat_mul_count stays a name here: bench/spans.py wraps it when tracing
-from .matrix import (BinMatrix, InputError, PermSpec,  # noqa: F401
-                     _byte_fields, _full_mask, _indicator, conjugate_by_perm,
-                     mat_mul_count, sigma_circulant)
+from .matrix import (BinMatrix, InputError, _byte_fields,  # noqa: F401
+                     _full_mask, _indicator, _relabeled_rows, mat_mul_count,
+                     sigma_circulant)
 from .numth import is_prime, quadratic_residues
 from .params import try_verify_dsrg
 
@@ -263,19 +259,32 @@ def _small_classes(k: int, pairs: list[tuple[int, int]]) -> tuple[
     return reps, class_of
 
 
-def _cross_matrices(row_sums: list[int], need: list[int]
-                    ) -> Iterator[tuple[int, ...]]:
-    """0/1 matrices, as row bit masks, with these row and column sums."""
-    if not row_sums:
-        yield ()
-        return
-    must = sum(1 << j for j, c in enumerate(need) if c == len(row_sums))
-    can = sum(1 << j for j, c in enumerate(need) if c)
-    for m in range(1 << len(need)):
-        if m.bit_count() == row_sums[0] and m & must == must and not m & ~can:
-            rest = [c - (m >> j & 1) for j, c in enumerate(need)]
-            for tail in _cross_matrices(row_sums[1:], rest):
-                yield (m,) + tail
+def _rooted_labelings(out_rows: list[int], in_rows: list[int]
+                      ) -> Iterator[tuple[int, ...]]:
+    """Rows of each tournament where 0 beats T_out and loses to T_in, one
+    per cross matrix B with the forced margins, in order of B's rows: row
+    i takes the masks of its popcount in ascending order, sets vertex
+    1+i's row and clears bit 1+i from the in-rows it beats, whose
+    out-degree above k is what their columns of B still owe."""
+    k = len(out_rows)
+    by_count = [[m for m in range(1 << k) if m.bit_count() == c]
+                for c in range(k + 1)]
+    rows = [_full_mask(k) << 1, *(r << 1 for r in out_rows)]
+
+    def fill(i: int, ins: list[int]) -> Iterator[tuple[int, ...]]:
+        if i == k:
+            yield (*rows, *ins)
+            return
+        owed = [r.bit_count() - k for r in ins]
+        must = sum(1 << j for j, c in enumerate(owed) if c == k - i)
+        can = sum(1 << j for j, c in enumerate(owed) if c)
+        for m in by_count[k - out_rows[i].bit_count()]:
+            if m & must == must and not m & ~can:
+                rows[1 + i] = out_rows[i] << 1 | m << k + 1
+                yield from fill(i + 1, [r ^ (m >> j & 1) << 1 + i
+                                        for j, r in enumerate(ins)])
+
+    return fill(0, [1 | _full_mask(k) << 1 | r << k + 1 for r in in_rows])
 
 
 def _neighbourhood_candidates(n: int) -> Iterator[tuple[int, ...]]:
@@ -285,10 +294,11 @@ def _neighbourhood_candidates(n: int) -> Iterator[tuple[int, ...]]:
     T_out of the order-k classes, and loses to k+1..2k, which induce a
     representative T_in.  Regularity fixes the margins of the cross matrix
     B (B[i][j] = 1 when out-vertex 1+i beats in-vertex k+1+j): row i sums
-    to k - outdeg_{T_out}(i) and column j to 1 + outdeg_{T_in}(j).  A B is
-    kept only if it is the smallest, row by row, in its orbit under
-    Aut(T_out) x Aut(T_in), and a candidate is dropped if some vertex v
-    has a smaller pair (class of out(v), class of in(v)) than vertex 0.
+    to k - outdeg_{T_out}(i) and column j to 1 + outdeg_{T_in}(j).
+    ``_rooted_labelings`` builds the rows as B is chosen.  A candidate is
+    dropped if some vertex v has a smaller pair (class of out(v), class of
+    in(v)) than vertex 0, and kept only if, relabeled on its raw rows, B
+    is the smallest, row by row, in its orbit under Aut(T_out) x Aut(T_in).
 
     Coverage: root any regular tournament at a vertex whose pair (a, b) is
     minimal, and relabel its out- and in-neighbourhoods onto
@@ -306,34 +316,25 @@ def _neighbourhood_candidates(n: int) -> Iterator[tuple[int, ...]]:
     pairs = list(itertools.combinations(range(k), 2))
     reps, class_of = _small_classes(k, pairs)
     full = _full_mask(n)
+    verts_of = {sum(1 << u for u in verts): verts
+                for verts in itertools.combinations(range(n), k)}
 
     def class_of_set(rows: tuple[int, ...], members: int) -> int:
-        verts = [u for u in range(n) if members >> u & 1]
-        return class_of[_code(rows, verts, pairs)]
+        return class_of[_code(rows, verts_of[members], pairs)]
 
     for a, (out_rows, out_autos) in enumerate(reps):
         for b, (in_rows, in_autos) in enumerate(reps):
-            # vertex maps fixing 0; the identity comes first and is skipped
-            relabels = [PermSpec((0, *(1 + i for i in alpha),
-                                  *(k + 1 + j for j in beta)))
-                        for alpha in out_autos for beta in in_autos][1:]
-            for cross in _cross_matrices([k - r.bit_count() for r in out_rows],
-                                         [1 + r.bit_count() for r in in_rows]):
-                rows = (_full_mask(k) << 1,
-                        *(out_rows[i] << 1 | cross[i] << k + 1
-                          for i in range(k)),
-                        *(1 | in_rows[j] << k + 1 |
-                          sum(1 << 1 + i for i in range(k)
-                              if not cross[i] >> j & 1)
-                          for j in range(k)))
+            # relabelings fixing 0 but the identity: a group, inverses included
+            orders = [(0, *(1 + i for i in alpha), *(k + 1 + j for j in beta))
+                      for alpha in out_autos for beta in in_autos][1:]
+            for rows in _rooted_labelings(out_rows, in_rows):
                 if any((c := class_of_set(rows, rows[v])) < a or c == a and
                        class_of_set(rows, full & ~rows[v] & ~(1 << v)) < b
                        for v in range(1, n)):
                     continue
                 # relabeled rows 1..k keep their T_out bits and carry the
                 # image of B above them, so the row tuples order as the Bs
-                if all(conjugate_by_perm(BinMatrix(n, rows), p).rows >= rows
-                       for p in relabels):
+                if all(_relabeled_rows(rows, p) >= rows for p in orders):
                     yield rows
 
 
@@ -358,9 +359,8 @@ def enumerate_regular_tournaments(n: int) -> list[Tournament]:
             f"order {n} exceeds the enumeration limit {ENUMERATION_LIMIT}")
     k = (n - 1) // 2
     out = []
-    for cert, _ in iso.classify((BinMatrix(n, rows)
-                                 for rows in _neighbourhood_candidates(n)),
-                                bound=n):
+    candidates = (BinMatrix(n, rows) for rows in _neighbourhood_candidates(n))
+    for cert, _ in iso.classify(candidates, bound=n):
         t = Tournament(cert.canonical)
         if t.valency != k:
             raise AssertionError(

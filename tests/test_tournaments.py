@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 from unittest import mock
@@ -400,6 +401,76 @@ def test_neighbourhood_candidates_cover_every_labeling(n):
     labeled = set(naive_labeled_regular_tournaments(n))
     assert set(candidates) <= labeled
     assert set().union(*(orbit_of(rows, n) for rows in candidates)) == labeled
+
+
+ORDER_9_CANDIDATES = [
+    (30, 480, 450, 390, 270, 29, 57, 113, 225),
+    (30, 480, 354, 390, 270, 153, 57, 85, 225),
+    (30, 480, 354, 390, 142, 281, 57, 101, 209),
+    (30, 480, 418, 198, 270, 281, 53, 113, 201),
+    (30, 480, 418, 326, 142, 281, 53, 105, 209),
+    (30, 480, 418, 390, 78, 281, 45, 113, 209),
+    (30, 480, 450, 166, 270, 277, 57, 113, 201),
+    (30, 480, 450, 294, 142, 277, 57, 105, 209),
+    (30, 360, 418, 452, 270, 153, 53, 83, 225),
+    (30, 360, 450, 420, 270, 149, 57, 83, 225),
+    (30, 360, 418, 452, 142, 281, 53, 99, 209),
+    (30, 360, 450, 420, 142, 277, 57, 99, 209),
+    (30, 424, 418, 452, 78, 281, 39, 113, 209),
+    (30, 424, 418, 420, 78, 337, 15, 113, 209),
+    (30, 368, 418, 326, 396, 153, 53, 75, 225),
+    (30, 368, 450, 294, 396, 149, 57, 75, 225),
+    (30, 240, 418, 326, 396, 281, 53, 105, 195),
+    (30, 432, 354, 390, 204, 281, 43, 101, 209),
+    (30, 432, 450, 166, 332, 277, 43, 113, 201),
+    (30, 464, 354, 166, 396, 275, 57, 101, 201),
+]
+
+
+def test_neighbourhood_candidates_stream_is_pinned():
+    # the candidate tuples and their order feed the canonical pass, so a
+    # faster generator must yield exactly this stream
+    from dsrg.tournaments import _neighbourhood_candidates
+    assert list(_neighbourhood_candidates(9)) == ORDER_9_CANDIDATES
+    order_11 = list(_neighbourhood_candidates(11))
+    assert len(order_11) == 1366
+    assert hashlib.sha256(repr(order_11).encode()).hexdigest() == \
+        "f836454af864f827f2802f7bd3de60c6ede86841f19239dc230f732e6f0d89d5"
+
+
+def brute_force_cross_matrices(row_sums, need):
+    """0/1 matrices, as row bit masks, with these row and column sums: all
+    2^k masks tried at each row level, in ascending order."""
+    if not row_sums:
+        yield ()
+        return
+    must = sum(1 << j for j, c in enumerate(need) if c == len(row_sums))
+    can = sum(1 << j for j, c in enumerate(need) if c)
+    for m in range(1 << len(need)):
+        if m.bit_count() == row_sums[0] and m & must == must and not m & ~can:
+            rest = [c - (m >> j & 1) for j, c in enumerate(need)]
+            for tail in brute_force_cross_matrices(row_sums[1:], rest):
+                yield (m,) + tail
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_rooted_labelings_follow_brute_force_cross_matrices(k):
+    # the row-by-row builder yields, for every pair of representatives,
+    # the rows of exactly the brute-force cross matrices, in their order
+    from dsrg.tournaments import _rooted_labelings, _small_classes
+    reps, _ = _small_classes(k, list(itertools.combinations(range(k), 2)))
+    for out_rows, _ in reps:
+        for in_rows, _ in reps:
+            expected = [
+                ((1 << k) - 1 << 1,
+                 *(out_rows[i] << 1 | cross[i] << k + 1 for i in range(k)),
+                 *(1 | in_rows[j] << k + 1 |
+                   sum(1 << 1 + i for i in range(k) if not cross[i] >> j & 1)
+                   for j in range(k)))
+                for cross in brute_force_cross_matrices(
+                    [k - r.bit_count() for r in out_rows],
+                    [1 + r.bit_count() for r in in_rows])]
+            assert list(_rooted_labelings(out_rows, in_rows)) == expected
 
 
 def test_enumeration_order_9_class_count():
