@@ -3,37 +3,29 @@
 The engine is classical individualization-refinement: vertices are colored
 by iterated in/out neighborhood histograms, and when refinement stalls a
 vertex of the smallest non-singleton color class is individualized and the
-search branches.  Refinement is driven by splitter cells: each round
-counts neighbors only in the pieces of the cells that have just split,
-all but the last piece of each, which yields the same colorings as
-recounting against every cell; a round adds up each cell's packed arc
-fields and reads a vertex's counts off the sums' byte planes as one byte
-string, ordered as the counts are.  The root starts from every cell; a child
-node starts from its new singleton alone, since its parent coloring was
-already stable.  ``are_isomorphic`` runs the two graphs in lockstep for
-at most one search node per vertex and then compares canonical forms;
-either way it returns an explicit relabeling witness, checked by
-``conjugate_by_perm``.  In lockstep, the first graph is refined once per
-node with each round's sorted signatures recorded in a trace, and the
-second graph is refined for each candidate against that trace.
-``canonical_form`` minimizes the relabeled matrix over the leaves of the
-search tree (in shell order: row and column fragments of the leading
-fixed vertices), pruning with automorphisms discovered along the way: a
-node skips the closure of its tried vertices under the stored
-automorphisms that fix its fixed vertices.  Both searches read a coloring
-through ``_cells`` (the members of each color) and turn two vertex orders
-into a permutation (witness or automorphism) through ``_mapping``.  The
-shells of a node are strided slices of its fixed vertices' joined row
-strings, compared as one list.  Canonical matrices of two graphs are
-equal exactly when the graphs are isomorphic.
+search branches.  Refinement (``_refine``) counts neighbors only against
+the cells that have just split, reading them off the byte planes of
+per-cell sums of packed arc fields; a child node starts from its new
+singleton alone, whose sum is its vertex's arcs.  ``are_isomorphic`` runs
+the two graphs in lockstep for at most one search node per vertex,
+refining the second against the first one's trace of sorted signatures,
+and then compares canonical forms; either way its relabeling witness is
+checked by relabeling the first graph's rows.  ``canonical_form``
+minimizes the relabeled matrix over the leaves of the search tree in
+shell order (``_CanonicalSearch``), pruning with every automorphism it
+finds.  A discrete leaf is settled by one compare of its column-major
+string with the best leaf's: equal strings witness an automorphism, and
+only a leaf that differs is cut into shells.  Canonical matrices of two
+graphs are equal exactly when the graphs are isomorphic.
 
 Twins (vertices with identical in- and out-neighborhoods) are
 interchangeable, so branching through a twin class only repeats work.
 Canonical labeling therefore searches the twin quotient (the rows and
 columns of one representative per class, cut out by ``_relabeled_rows``),
 colored by class size, and expands its best leaf class by class; a
-twin-free graph is its own quotient.  Certificate hashes include
-``CERT_VERSION``, which changes whenever canonical matrices do.
+twin-free graph is its own quotient, and its canonical matrix is read off
+the best leaf's string.  Certificate hashes include ``CERT_VERSION``,
+which changes whenever canonical matrices do.
 """
 
 from __future__ import annotations
@@ -127,6 +119,8 @@ def _refine(graph: tuple[tuple[int, ...], tuple[int, ...]],
     vertex v alone at id ``cell`` and the rest of v's old cell at
     ``cell + 1``, the old cell's last piece, and the parent coloring was
     stable, so by the same argument counts against {v} alone suffice.
+    Every cell in ``first`` must be a singleton: the first round takes its
+    sum to be its vertex's arcs and adds up no other cell.
 
     Color ids need not be consecutive: a round splits nothing when its
     distinct signatures are as many as the colors in use.
@@ -139,11 +133,13 @@ def _refine(graph: tuple[tuple[int, ...], tuple[int, ...]],
     ncolors = max(colors) + 1
     used = len(set(colors))
     splitters: Sequence[int] = range(ncolors) if first is None else first
+    sums = None if first is None else {c: arcs[colors.index(c)] for c in first}
     rounds = 0
     while True:
-        sums = [0] * ncolors
-        for arc, c in zip(arcs, colors):
-            sums[c] += arc
+        if sums is None:
+            sums = [0] * ncolors
+            for arc, c in zip(arcs, colors):
+                sums[c] += arc
         planes = [bytes(colors)] if w == 1 else \
             [bytes([c >> 8 * b & 255 for c in colors])
              for b in range(w - 1, -1, -1)]
@@ -171,13 +167,15 @@ def _refine(graph: tuple[tuple[int, ...], tuple[int, ...]],
         splitters = [i for i in range(len(values) - 1)
                      if parents[i] == parents[i + 1]]
         ncolors = used = len(values)
+        sums = None
 
 
 def _individualize(colors: Sequence[int], v: int) -> list[int]:
     """Split {v} off as its own cell, placed just before its old cell."""
     cv = colors[v]
-    return [c + 1 if (c > cv or (c == cv and w != v)) else c
-            for w, c in enumerate(colors)]
+    child = [c + (c >= cv) for c in colors]
+    child[v] = cv
+    return child
 
 
 def _cells(colors: Sequence[int]) -> list[list[int]]:
@@ -246,11 +244,12 @@ def are_isomorphic(a: BinMatrix, b: BinMatrix,
     colors_a, colors_b = root_a, root_b
     while True:
         if max(colors_a) == n - 1:
-            # discrete: a coloring inverted is its vertices in color order
-            witness = PermSpec(_mapping(_mapping(colors_a, range(n)),
-                                        _mapping(colors_b, range(n))))
-            if conjugate_by_perm(a, witness) == b:
-                return witness
+            # discrete: a coloring inverted is its vertices in color order;
+            # a's rows relabeled by the inverse of order_a -> order_b are b's
+            order_a = _mapping(colors_a, range(n))
+            order_b = _mapping(colors_b, range(n))
+            if _relabeled_rows(a.rows, _mapping(order_b, order_a)) == b.rows:
+                return PermSpec(_mapping(order_a, order_b))
         elif nodes_left <= 0:
             break
         else:
@@ -320,7 +319,10 @@ class _CanonicalSearch:
     cut at each fixed column v by the stride-n slice from n-1-v spell the
     fixed submatrix column by column, and each shell is two slices of that.
     Shell m is a '0'/'1' string of 2m + 1 characters at every node, so
-    lists of shells compare like the binary numbers they spell.
+    lists of shells compare like the binary numbers they spell.  At a
+    discrete leaf that string is the whole relabeled matrix: one compare
+    with the best leaf's settles an automorphism, and a twin-free graph's
+    canonical rows are read off the best leaf's.
     """
 
     _NO_JUMP = 1 << 30
@@ -332,45 +334,42 @@ class _CanonicalSearch:
         # bit v of vertex u's row is character n-1-v of its string
         self.row_strings = list(map(f"{{:0{self.n}b}}".format, graph[0]))
         self.colors = colors
+        self.best_flat = ""
         self.best_shells: list[str] | None = None
-        self.best_order: list[int] | None = None
+        self.best_order: tuple[int, ...] = ()
         self.best_branches: list[int] = []
         self.branches: list[int] = []
         self.autos: list[tuple[int, ...]] = []
 
-    def run(self) -> list[int]:
+    def run(self) -> tuple[int, ...]:
         """Vertices in canonical order: position i holds order[i]."""
         start = _refine(self.graph, self.colors)
         assert start is not None
         self._visit(start, 0)
-        assert self.best_order is not None
         return self.best_order
 
-    def _shells(self, fixed: list[int]) -> list[str]:
-        """Shell m: row fixed[m] at fixed[:m+1], then column fixed[m] at
-        fixed[:m].  flat[j*size + i] is entry (fixed[i], fixed[j])."""
-        n, size = self.n, len(fixed)
+    def _flat(self, fixed: Sequence[int]) -> str:
+        """flat[j*len(fixed) + i] is entry (fixed[i], fixed[j])."""
+        n = self.n
         spelled = "".join([self.row_strings[u] for u in fixed])
-        flat = "".join([spelled[n - 1 - v::n] for v in fixed])
+        return "".join([spelled[n - 1 - v::n] for v in fixed])
+
+    def _shells(self, fixed: Sequence[int], flat: str = "") -> list[str]:
+        """Shell m: row fixed[m] at fixed[:m+1], then column fixed[m] at
+        fixed[:m], cut from ``flat``, by default ``_flat(fixed)``."""
+        size = len(fixed)
+        flat = flat or self._flat(fixed)
         return [flat[m:m * size + m + 1:size] + flat[m * size:m * size + m]
                 for m in range(size)]
 
     def _visit(self, colors: list[int], depth: int) -> int:
         """Explore one node; returns the depth to unwind to (backjump)."""
-        cells = _cells(colors)
-        fixed = _fixed_prefix(cells)
-        shells = self._shells(fixed)
-        if self.best_shells is not None and \
-                shells > self.best_shells[:len(shells)]:
-            return self._NO_JUMP
-        if len(fixed) == self.n:
-            if self.best_shells is None or shells < self.best_shells:
-                self.best_shells = shells
-                self.best_order = fixed
-                self.best_branches = list(self.branches)
-            elif shells == self.best_shells:
-                assert self.best_order is not None
-                auto = _mapping(self.best_order, fixed)
+        if max(colors) == self.n - 1:
+            # a discrete leaf: its vertices in color order
+            order = _mapping(colors, range(self.n))
+            flat = self._flat(order)
+            if flat == self.best_flat:
+                auto = _mapping(self.best_order, order)
                 if auto not in self.autos and auto != tuple(range(self.n)):
                     self.autos.append(auto)
                 common = 0
@@ -379,6 +378,17 @@ class _CanonicalSearch:
                         self.branches[common] == self.best_branches[common]:
                     common += 1
                 return common
+            shells = self._shells(order, flat)
+            if self.best_shells is None or shells < self.best_shells:
+                self.best_flat, self.best_shells = flat, shells
+                self.best_order = order
+                self.best_branches = list(self.branches)
+            return self._NO_JUMP
+        cells = _cells(colors)
+        fixed = _fixed_prefix(cells)
+        shells = self._shells(fixed)
+        if self.best_shells is not None and \
+                shells > self.best_shells[:len(shells)]:
             return self._NO_JUMP
         cell = _target_cell(cells)
         assert cell is not None
@@ -416,7 +426,8 @@ def _canonical(graph: tuple[tuple[int, ...], tuple[int, ...]]
     by class, members in ascending label order.  Twins are interchangeable,
     so the expansion is the same for every relabeling, and the quotient
     with its class sizes can be read back off the expanded matrix.  A
-    twin-free graph is its own quotient and is searched on its own bits.
+    twin-free graph is its own quotient: it is searched on its own bits,
+    and its canonical rows are read off the best leaf's string.
     """
     rows, arcs = graph
     n = len(rows)
@@ -428,9 +439,13 @@ def _canonical(graph: tuple[tuple[int, ...], tuple[int, ...]]
         len(members), _relabeled_rows(rows, [m[0] for m in members])))
     sizes = sorted({len(m) for m in members})
     colors = [sizes.index(len(m)) for m in members]
-    order = [v for c in _CanonicalSearch(quotient, colors).run()
-             for v in members[c]]
-    return BinMatrix(n, _relabeled_rows(rows, order)), order
+    search = _CanonicalSearch(quotient, colors)
+    order = [v for c in search.run() for v in members[c]]
+    if quotient is not graph:
+        return BinMatrix(n, _relabeled_rows(rows, order)), order
+    flat = search.best_flat
+    return BinMatrix(n, tuple(int(flat[(n - 1) * n + r::-n], 2)
+                              for r in range(n))), order
 
 
 def canonical_form(a: BinMatrix, bound: int = DEFAULT_BOUND) -> IsoCertificate:

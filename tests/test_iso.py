@@ -20,6 +20,7 @@ from dsrg import (BinMatrix, PermSpec, are_isomorphic, canonical_form,
 from dsrg import constructions as cons
 from dsrg import iso
 from dsrg.cli import all_construction_results
+from dsrg.matrix import _relabeled_rows
 from transposers import block_diag, find_commuting_transposer
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -323,6 +324,16 @@ def test_invalid_canonical_witness_raises():
             mock.patch.object(iso, "_canonical", return_value=bogus):
         with pytest.raises(AssertionError, match="witness"):
             are_isomorphic(a, b)
+
+
+def test_lockstep_leaf_checks_its_witness():
+    # a refinement that calls every coloring discrete must yield no witness:
+    # the lockstep leaf compares a's relabeled rows with b's, and the pair's
+    # only leaf differs
+    a = cycle_power(5, 1)
+    b = conjugate_by_perm(a, PermSpec((0, 2, 1, 3, 4)))
+    with mock.patch.object(iso, "_refine", lambda *args, **kw: list(range(5))):
+        assert are_isomorphic(a, b) is None
 
 
 def test_invalid_canonical_witness_raises_under_python_O():
@@ -899,6 +910,29 @@ def test_cell_primitives_match_per_vertex_definitions(colors):
     assert iso._fixed_prefix(cells) == sorted(fixed, key=colors.__getitem__)
 
 
+def _individualize_by_comprehension(colors, v):
+    """The comprehension iso._individualize replaced, kept as its oracle."""
+    cv = colors[v]
+    return [c + 1 if (c > cv or (c == cv and w != v)) else c
+            for w, c in enumerate(colors)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(colorings().flatmap(
+    lambda colors: st.tuples(st.just(colors),
+                             st.integers(0, len(colors) - 1))))
+@example(([0], 0))
+@example(([3, 0, 3, 7, 0], 2))
+@example(([3, 0, 3, 7, 0], 3))
+def test_individualize_matches_comprehension(inputs):
+    # ids 1, 2, 4, 5 and 6 of the examples are unused
+    colors, v = inputs
+    before = list(colors)
+    assert iso._individualize(colors, v) == \
+        _individualize_by_comprehension(colors, v)
+    assert colors == before
+
+
 # -- property tests on twin-free graphs --------------------------------------
 
 
@@ -961,6 +995,26 @@ def test_are_isomorphic_witness_sound_twin_free(a, data):
         assert (w is not None) == same
         if w is not None:
             assert conjugate_by_perm(a, w) == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(random_digraphs(70),
+                 circulant_digraphs(70)).filter(_twin_free),
+       st.integers(0, 2 ** 32))
+@example(BinMatrix(1, (0,)), 0)
+@example(BinMatrix(40, tuple(((1 << 40) - 1) ^ 1 << v for v in range(40))), 1)
+@example(BinMatrix(70, tuple(1 << (v ^ 1) for v in range(70))), 2)
+def test_twin_free_canonical_rows_read_off_best_leaf(a, seed):
+    # the best leaf's string holds the canonical matrix column by column;
+    # its rows must be those of the graph relabeled by the returned order
+    assert _twin_free(a)
+    n = a.n
+    canon, order = iso._canonical(iso._graph_bits(a))
+    assert sorted(order) == list(range(n))
+    assert canon == BinMatrix(n, _relabeled_rows(a.rows, order))
+    p = PermSpec(tuple(random.Random(seed).sample(range(n), n)))
+    assert canonical_form(conjugate_by_perm(a, p), bound=70) == \
+        canonical_form(a, bound=70)
 
 
 # -- shells of the canonical search ------------------------------------------
