@@ -13,19 +13,19 @@ and then compares canonical forms; either way its relabeling witness is
 checked by relabeling the first graph's rows.  ``canonical_form``
 minimizes the relabeled matrix over the leaves of the search tree in
 shell order (``_CanonicalSearch``), pruning with every automorphism it
-finds.  A discrete leaf is settled by one compare of its column-major
-string with the best leaf's: equal strings witness an automorphism, and
-only a leaf that differs is cut into shells.  Canonical matrices of two
-graphs are equal exactly when the graphs are isomorphic.
+finds; a discrete leaf is settled by one string compare with the best
+leaf.  Canonical matrices of two graphs are equal exactly when the graphs
+are isomorphic.
 
 Twins (vertices with identical in- and out-neighborhoods) are
 interchangeable, so branching through a twin class only repeats work.
 Canonical labeling therefore searches the twin quotient (the rows and
-columns of one representative per class, cut out by ``_relabeled_rows``),
-colored by class size, and expands its best leaf class by class; a
-twin-free graph is its own quotient, and its canonical matrix is read off
-the best leaf's string.  Certificate hashes include ``CERT_VERSION``,
-which changes whenever canonical matrices do.
+columns of one representative per class), colored by class size, and
+expands its best leaf class by class; a twin-free graph is its own
+quotient.  ``classify`` searches each distinct quotient and coloring once
+per call: a block construction and its Kronecker expansions share one.
+Certificate hashes include ``CERT_VERSION``, which changes whenever
+canonical matrices do.
 """
 
 from __future__ import annotations
@@ -328,7 +328,7 @@ class _CanonicalSearch:
     _NO_JUMP = 1 << 30
 
     def __init__(self, graph: tuple[tuple[int, ...], tuple[int, ...]],
-                 colors: list[int]):
+                 colors: Sequence[int]):
         self.n = len(colors)
         self.graph = graph
         # bit v of vertex u's row is character n-1-v of its string
@@ -392,9 +392,12 @@ class _CanonicalSearch:
             return self._NO_JUMP
         cell = _target_cell(cells)
         assert cell is not None
-        # the tried vertices' orbits under the stored automorphisms that fix
-        # every fixed vertex; automorphisms are only found by visits
+        # the tried vertices' orbits under the stored automorphisms fixing
+        # every fixed vertex; after each visit (which alone finds them), new
+        # ones act on every member and old ones on new members only
         orbits: set[int] = set()
+        gens: list[tuple[int, ...]] = []
+        known = 0
         for v in cells[cell]:
             if v in orbits:
                 continue
@@ -406,17 +409,20 @@ class _CanonicalSearch:
             if jump < depth:
                 return jump
             orbits.add(v)
-            if self.autos:
-                gens = [g for g in self.autos if all(g[x] == x for x in fixed)]
-                size = 0
-                while size < len(orbits):
-                    size = len(orbits)
-                    orbits |= {g[u] for g in gens for u in orbits}
+            fresh = {v}
+            if len(self.autos) > known:
+                new = [g for g in self.autos[known:]
+                       if all(g[x] == x for x in fixed)]
+                known, gens = len(self.autos), gens + new
+                fresh = orbits if new else fresh
+            while fresh and gens:
+                fresh = {g[u] for g in gens for u in fresh} - orbits
+                orbits |= fresh
         return self._NO_JUMP
 
 
-def _canonical(graph: tuple[tuple[int, ...], tuple[int, ...]]
-               ) -> tuple[BinMatrix, list[int]]:
+def _canonical(graph: tuple[tuple[int, ...], tuple[int, ...]],
+               memo: dict | None = None) -> tuple[BinMatrix, list[int]]:
     """Canonical matrix and order of the graph with bits (rows, arcs).
 
     Twins (vertices with equal rows and columns, so equal arcs) are
@@ -427,7 +433,9 @@ def _canonical(graph: tuple[tuple[int, ...], tuple[int, ...]]
     so the expansion is the same for every relabeling, and the quotient
     with its class sizes can be read back off the expanded matrix.  A
     twin-free graph is its own quotient: it is searched on its own bits,
-    and its canonical rows are read off the best leaf's string.
+    and its canonical rows are read off the best leaf's string.  A search
+    depends only on the quotient's rows and colors: ``memo``, a dict the
+    caller owns, keeps its best order and canonical rows under them.
     """
     rows, arcs = graph
     n = len(rows)
@@ -435,17 +443,22 @@ def _canonical(graph: tuple[tuple[int, ...], tuple[int, ...]]
     for v, arc in enumerate(arcs):
         classes.setdefault(arc, []).append(v)
     members = list(classes.values())
-    quotient = graph if len(members) == n else _graph_bits(BinMatrix(
-        len(members), _relabeled_rows(rows, [m[0] for m in members])))
+    q = len(members)
+    quotient = rows if q == n else \
+        _relabeled_rows(rows, [m[0] for m in members])
     sizes = sorted({len(m) for m in members})
-    colors = [sizes.index(len(m)) for m in members]
-    search = _CanonicalSearch(quotient, colors)
-    order = [v for c in search.run() for v in members[c]]
-    if quotient is not graph:
-        return BinMatrix(n, _relabeled_rows(rows, order)), order
-    flat = search.best_flat
-    return BinMatrix(n, tuple(int(flat[(n - 1) * n + r::-n], 2)
-                              for r in range(n))), order
+    colors = tuple(sizes.index(len(m)) for m in members)
+    memo = {} if memo is None else memo
+    if (quotient, colors) not in memo:
+        search = _CanonicalSearch(graph if q == n else _graph_bits(
+            BinMatrix(q, quotient)), colors)
+        best, flat = search.run(), search.best_flat
+        memo[quotient, colors] = best, tuple(
+            int(flat[(q - 1) * q + r::-q], 2) for r in range(q))
+    best, canonical = memo[quotient, colors]
+    order = [v for c in best for v in members[c]]
+    return BinMatrix(n, canonical if q == n else
+                     _relabeled_rows(rows, order)), order
 
 
 def canonical_form(a: BinMatrix, bound: int = DEFAULT_BOUND) -> IsoCertificate:
@@ -468,16 +481,18 @@ def classify(graphs: Iterable[BinMatrix], bound: int = DEFAULT_BOUND
     Each class comes with its certificate, which every member shares.
     Graphs of different orders are trivially in distinct classes.  Classes
     are ordered by (order, canonical matrix); members keep input order.
-    Every order is checked against the bound before any graph is labeled.
+    Every order is checked against the bound before any graph is labeled,
+    and each distinct twin quotient and coloring is searched once.
     """
     graphs = list(graphs)
     for g in graphs:
         _check_bound(g.n, bound)
     classes: dict[tuple[int, tuple[int, ...]],
                   tuple[IsoCertificate, list[int]]] = {}
+    memo: dict = {}
     for idx, g in enumerate(graphs):
-        cert = canonical_form(g, bound)
-        key = (cert.order, cert.canonical.rows)
-        classes.setdefault(key, (cert, []))[1].append(idx)
+        canonical, _ = _canonical(_graph_bits(g), memo)
+        cert = IsoCertificate(canonical, _cert_hash(canonical), g.n)
+        classes.setdefault((g.n, canonical.rows), (cert, []))[1].append(idx)
     return [classes[key] for key in sorted(classes)]
 

@@ -548,6 +548,50 @@ def constructed_pairs(draw):
     return a, b
 
 
+@st.composite
+def shared_quotient_blow_ups(draw):
+    """Blow-ups of one base digraph by several copy-count vectors, so one
+    twin quotient under several class-size colorings, mixed with relabelled
+    copies of some of them, in random order."""
+    base, copies = draw(base_digraphs())
+    vectors = [copies] + draw(st.lists(st.permutations(copies) | st.lists(
+        st.integers(1, 4), min_size=len(base), max_size=len(base)),
+        max_size=4))
+    graphs = [blow_up(base, c) for c in vectors]
+    for _ in range(draw(st.integers(0, 4))):
+        g = draw(st.sampled_from(graphs))
+        p = PermSpec(tuple(draw(st.permutations(range(g.n)))))
+        graphs.append(conjugate_by_perm(g, p))
+    return draw(st.permutations(graphs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_quotient_blow_ups())
+@example([blow_up([[0, 1], [0, 0]], c) for c in ([1, 2], [2, 1], [1, 3])])
+def test_classify_certificates_equal_canonical_form_on_shared_quotients(
+        graphs):
+    # classify searches each (quotient rows, class-size coloring) once per
+    # call; every member's certificate must still be its own canonical form
+    for cert, members in classify(graphs):
+        assert all(canonical_form(graphs[i]) == cert for i in members)
+
+
+def test_classify_searches_each_quotient_once_per_call():
+    # the 127 outputs at n <= 48 have 86 distinct (quotient rows, coloring)
+    # pairs; a second call searches all 86 again, so no search outlives the
+    # call that made it
+    mats = [r.adj for r in all_construction_results(48)]
+    runs = []
+    for _ in range(2):
+        with mock.patch.object(iso._CanonicalSearch, "run", autospec=True,
+                               side_effect=iso._CanonicalSearch.run) as run, \
+                mock.patch.object(iso, "_refine", wraps=iso._refine) as refine:
+            classes = classify(mats, 48)
+        runs.append((len(mats), run.call_count, refine.call_count, classes))
+    assert runs[0][:3] == runs[1][:3] == (127, 86, 463)
+    assert runs[0][3] == runs[1][3] and len(runs[0][3]) == 74
+
+
 def test_canonical_form_exhaustive_on_tiny_blow_ups():
     # every digraph on two vertices (loops allowed), each vertex doubled or
     # not, under every relabeling: one canonical matrix per graph, and
