@@ -39,8 +39,9 @@ from .tournaments import (NotTournament, Tournament, circulant_tournament,
 # dsrg feasible 1000 prints 191,210 tuples in 0.96-1.01 s on a 2-vCPU x86-64
 # host (Python 3.11); the time grows a little faster than max_n^2
 FEASIBLE_MAX_N = 1000
-# dsrg catalog N takes 0.3 s at N = 96, 0.9-1.5 s at 200, 3.6-4.7 s at 300
-# and 14 s at 450 (single runs, same host): the largest N within about 5 s
+# dsrg catalog N takes 0.32-0.47 s at N = 96, 0.85-1.5 s at 200 and
+# 2.7-4.8 s at 300 (9, 9 and 15 runs on a busy host), and a sweep to 450
+# takes 11.6-14.5 s in-process (3 runs): the largest N within about 5 s
 CATALOG_MAX_N = 300
 
 

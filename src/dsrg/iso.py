@@ -5,8 +5,10 @@ by iterated in/out neighborhood histograms, and when refinement stalls a
 vertex of the smallest non-singleton color class is individualized and the
 search branches.  Refinement (``_refine``) counts neighbors only against
 the cells that have just split, reading them off the byte planes of
-per-cell sums of packed arc fields; a child node starts from its new
-singleton alone, whose sum is its vertex's arcs.  ``are_isomorphic`` runs
+per-cell sums of packed arc fields and cutting every vertex's signature
+out of them in one call; a child node starts from its new singleton
+alone, whose sum is its vertex's arcs.  A regular digraph's unit coloring
+is stable, so its root refinement runs no round.  ``are_isomorphic`` runs
 the two graphs in lockstep for at most one search node per vertex,
 refining the second against the first one's trace of sorted signatures,
 and then compares canonical forms; either way its relabeling witness is
@@ -35,10 +37,10 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .matrix import (BinMatrix, BoundExceeded, PermSpec, _bit_bytes,
-                     _relabeled_rows, conjugate_by_perm)
+                     _relabeled_rows, _row_cutter, conjugate_by_perm)
 
 DEFAULT_BOUND = 48
 
@@ -61,9 +63,20 @@ def _graph_bits(a: BinMatrix) -> tuple[tuple[int, ...], tuple[int, ...]]:
     wide = bytearray(n * size)
     wide[::2 * w] = bits
     # the transpose: column u, bits[u::n], puts entry (v, u) at u*n + v
-    wide[w::2 * w] = b"".join([bits[u::n] for u in range(n)])
-    return a.rows, tuple(int.from_bytes(wide[s:s + size], "little")
-                         for s in range(0, n * size, size))
+    wide[w::2 * w] = b"".join(_column_cutter(n)(bits))
+    return a.rows, tuple([int.from_bytes(r, "little")
+                          for r in _row_cutter(size, n)(wide)])
+
+
+@functools.lru_cache(maxsize=8)
+def _column_cutter(n: int) -> Callable[[bytes], tuple[bytes, ...]]:
+    """Cuts a buffer into its n columns, column v being every n-th byte
+    from v, in one call.  Kept for the 8 orders used last: a search and its
+    twin quotient use two, and a miss costs no more than the n slices it
+    replaces."""
+    if n == 1:
+        return lambda buf: (buf,)  # an itemgetter of one item returns it bare
+    return itemgetter(*[slice(v, None, n) for v in range(n)])
 
 
 @functools.cache
@@ -88,9 +101,21 @@ def _refine(graph: tuple[tuple[int, ...], tuple[int, ...]],
     colors; joined, the planes hold v's signature at every n-th byte from
     v, each digit w bytes big-endian.  So byte order on signatures is the
     numeric order of their digits in base n + 1: ranks, parent colors (the
-    first w bytes) and trace checks are those of the digits.  The first
-    round uses the cells in ``first`` as splitters, by default every cell.
-    A discrete coloring is stable and is returned at once.
+    first w bytes) and trace checks are those of the digits.  One call
+    (``_column_cutter``) cuts every vertex's signature out of the joined
+    planes.  The first round uses the cells in ``first`` as splitters, by
+    default every cell.  A discrete coloring is stable and is returned at
+    once.
+
+    A regular digraph's unit coloring is stable too.  When ``first`` is
+    None and every color id is 0, the one sum is ``sum(arcs)``, whose field
+    v holds v's out- and in-degree.  If every field is equal, every vertex
+    has the signature of w zero bytes followed by that field big-endian, so
+    the round would split nothing and would record n copies of that
+    signature.  It is settled without being run, with that list as its
+    trace entry, byte for byte the same.  The test is on ids, not on colors
+    in use: a start like [3, 3, 3] adds up the empty cells 0-2 as well, and
+    their zero planes change the signature.
 
     Round r's sorted signature list goes to ``trace[r]``: a round beyond
     the recorded ones appends it, and a recorded round is compared with it
@@ -129,8 +154,18 @@ def _refine(graph: tuple[tuple[int, ...], tuple[int, ...]],
     n = len(colors)
     w = (n.bit_length() + 7) // 8
     size = 2 * w * n
-    cut = _byte_planes(w)
     ncolors = max(colors) + 1
+    if first is None and ncolors == 1:
+        total = sum(arcs).to_bytes(size, "little")
+        if total == total[:2 * w] * n:
+            ordered = [bytes(w) + total[2 * w - 1::-1]] * n
+            if trace is not None:
+                if not trace:
+                    trace.append(ordered)
+                elif trace[0] != ordered:
+                    return None
+            return list(colors)
+    cut, columns = _byte_planes(w), _column_cutter(n)
     used = len(set(colors))
     splitters: Sequence[int] = range(ncolors) if first is None else first
     sums = None if first is None else {c: arcs[colors.index(c)] for c in first}
@@ -145,8 +180,7 @@ def _refine(graph: tuple[tuple[int, ...], tuple[int, ...]],
              for b in range(w - 1, -1, -1)]
         for c in splitters:
             planes += cut(sums[c].to_bytes(size, "little"))
-        flat = b"".join(planes)
-        sigs = [flat[v::n] for v in range(n)]
+        sigs = columns(b"".join(planes))
         if trace is None:
             values = sorted(set(sigs))
         else:

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterator
 
 # mat_mul_count stays a name of this module: bench/spans.py wraps
 # params.mat_mul_count when it traces a run
 from .matrix import (BinMatrix, _byte_fields, _full_mask,  # noqa: F401
-                     mat_mul_count)
+                     _square_rows, mat_mul_count)
 
 GENUINE = "genuine"
 UNDIRECTED = "undirected"
@@ -113,8 +112,7 @@ def verify_dsrg(a: BinMatrix) -> DsrgParams:
         j = next(j for j in range(n) if field(cols, j) != k)
         raise NotDsrg("column-sum", (j, j),
                       f"column {j} sums to {field(cols, j)}, expected {k}")
-    squares = [sum(compress(fields, bits[s:s + n]))
-               for s in range(0, n * n, n)]
+    squares = _square_rows(bits, fields)
     # (A^2)[0][j] at the diagonal, the first adjacent and the first other j
     t, lam, mu = (field(squares[0], j) if j >= 0 else 0
                   for j in (0, bits.find(1, 0, n), bits.find(0, 1, n)))

@@ -21,8 +21,8 @@ from typing import Iterable, Iterator, Sequence
 from . import iso
 # mat_mul_count stays a name here: bench/spans.py wraps it when tracing
 from .matrix import (BinMatrix, InputError, _byte_fields,  # noqa: F401
-                     _full_mask, _indicator, _relabeled_rows, mat_mul_count,
-                     sigma_circulant)
+                     _full_mask, _indicator, _relabeled_rows, _square_rows,
+                     mat_mul_count, sigma_circulant)
 from .numth import is_prime, quadratic_residues
 from .params import try_verify_dsrg
 
@@ -209,8 +209,7 @@ def is_doubly_regular_team(a: BinMatrix) -> TeamProfile | None:
     w, bits, fields = _byte_fields(a)
     ins = _byte_fields(at)[2]
     ones = int.from_bytes(b"\1".ljust(w, b"\0") * n, "little")
-    squares = [sum(itertools.compress(fields, bits[s:s + n]))
-               for s in range(0, n * n, n)]
+    squares = _square_rows(bits, fields)
     # (A^2)[0][j] at the first out-, in- and teammate j of vertex 0
     alpha, beta, gamma = (squares[0] >> 8 * w * ((r & -r).bit_length() - 1)
                           & (1 << 8 * w) - 1 if r else 0

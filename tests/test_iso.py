@@ -684,12 +684,21 @@ def full_signature_refinement(graphs, colorings):
 
 @st.composite
 def small_digraphs(draw, n):
-    """Dense or sparse random digraphs, loops allowed, or circulants with a
-    few arcs flipped, whose refinement takes many rounds."""
-    kind = draw(st.sampled_from(["dense", "sparse", "circulant"]))
+    """Dense or sparse random digraphs, loops allowed, circulants with a
+    few arcs flipped, whose refinement takes many rounds, or digraphs with
+    every out-degree equal and the in-degrees as they fall (a union of maps
+    v -> f(v) with distinct images at each v) and their converses, on
+    which the root refinement's shortcut for regular digraphs declines."""
+    kind = draw(st.sampled_from(["dense", "sparse", "circulant",
+                                 "out-regular", "in-regular"]))
     if kind == "dense":
         return BinMatrix(n, tuple(draw(st.lists(
             st.integers(0, (1 << n) - 1), min_size=n, max_size=n))))
+    if kind in ("out-regular", "in-regular"):
+        m = draw(st.integers(1, n))
+        a = BinMatrix(n, tuple(sum(1 << u for u in draw(
+            st.permutations(range(n)))[:m]) for _ in range(n)))
+        return a if kind == "out-regular" else a.transpose()
     rows = [0] * n
     if kind == "circulant":
         shifts = draw(st.sets(st.integers(1, max(1, n - 1))))
@@ -747,8 +756,20 @@ def _color_matching_is_isomorphism(graphs, colorings):
                for i in range(n) for j in range(n))
 
 
+# orders 1 and 2: a loop alone, with an unused id below its color (a
+# round runs, cutting one column); a loop against none; J - I, regular,
+# against one arc; one arc against its converse
+_LOOP, _NONE, _J_MINUS_I, _ARC, _CONVERSE = (
+    iso._graph_bits(BinMatrix(len(rows), rows))
+    for rows in ((1,), (0,), (2, 1), (2, 0), (0, 1)))
+
+
 @settings(max_examples=400, deadline=None)
 @given(refinement_inputs())
+@example(([_LOOP], [[1]]))
+@example(([_LOOP, _NONE], [[0], [0]]))
+@example(([_J_MINUS_I, _ARC], [[0, 0], [0, 0]]))
+@example(([_ARC, _CONVERSE], [[0, 0], [0, 0]]))
 def test_refine_joint_matches_full_signature_oracle(inputs):
     graphs, colorings = inputs
     expected = full_signature_refinement(graphs, colorings)
@@ -857,7 +878,7 @@ def test_refine_joint_from_new_singleton_matches_oracle(inputs):
 # -- two-byte fields: orders of 256 and more --------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 255, 256, 300])
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 300])
 def test_graph_bits_fields_match_per_bit_definition(n):
     # field v of arcs[u], 2w bytes from bit 16wv, is A[v][u] * 256^w +
     # A[u][v]; w = 2 from n = 256 on.  Every even vertex has a loop

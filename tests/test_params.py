@@ -492,6 +492,9 @@ def test_verify_dsrg_matches_dense_oracle():
         cases.append(BinMatrix.from_rows(
             [[0 if i == j else rng.randint(0, 1) for j in range(n)]
              for i in range(n)]))
+    # orders 1 and 2, whose rows are cut one and two at a time
+    cases += [BinMatrix.zeros(1), BinMatrix.zeros(2), BinMatrix(2, (2, 1)),
+              BinMatrix(2, (2, 0))]
     outcomes = set()
     for a in cases:
         expected = dense_verify(a)

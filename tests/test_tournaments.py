@@ -690,6 +690,8 @@ def test_team_profile_matches_oracle_on_layouts_and_perturbations():
     # an oriented complete multipartite graph that is not a team layout
     layouts.append(BinMatrix.from_rows([[0, 0, 1, 1], [0, 0, 1, 1],
                                         [0, 0, 0, 0], [0, 0, 0, 0]]))
+    # order 2: one arc, and one team of two
+    layouts += [BinMatrix(2, (2, 0)), BinMatrix.zeros(2)]
     profiles = set()
     for a in layouts:
         for b in [a] + [_perturbed(a, rng, rng.randint(1, 3))
